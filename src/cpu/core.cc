@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "bpred/factory.hh"
+#include "exec/superblock_exec.hh"
 #include "isa/arith.hh"
 #include "isa/assembler.hh"
 
@@ -56,6 +57,19 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
 
     pbs_.setEnabled(cfg_.pbsEnabled);
     pc_ = prog_.entry;
+
+    // The mpki fidelity on the predecoded path runs on the superblock
+    // executor. Prob ops stay outside its blocks: stepOneOn owns PBS
+    // steering, so they single-step through it.
+    if (cfg_.mode == SimMode::Functional &&
+        cfg_.execPath == ExecPath::Decoded) {
+        dispatch_ = exec::defaultFuncDispatch();
+        if (dispatch_ != exec::FuncDispatch::Switch) {
+            sb_ = std::make_unique<exec::SuperblockImage>(
+                exec::SuperblockImage::build(image_,
+                                             /*excludeProbOps=*/true));
+        }
+    }
 
     for (const auto &[addr, bytes] : prog_.dataInit)
         mem_.writeBlock(addr, bytes);
@@ -135,6 +149,9 @@ Core::restoreArch(const ArchState &state)
             "(probSeq size mismatch)");
     }
     regs_ = state.regs;
+    // The superblock handlers read regs_[REG_ZERO] unguarded; pin it
+    // as FunctionalEngine::restoreArch does.
+    regs_[isa::REG_ZERO] = 0;
     pc_ = state.pc;
     halted_ = state.halted;
     mem_ = state.mem;
@@ -397,17 +414,103 @@ Core::run()
             stats_.instructions >= cfg_.maxInstructions) {
             break;
         }
-        stepOne();
+        if (sb_) {
+            stepSuper(cfg_.maxInstructions
+                          ? cfg_.maxInstructions - stats_.instructions
+                          : UINT64_MAX);
+        } else {
+            stepOne();
+        }
     }
 }
 
 uint64_t
 Core::step(uint64_t n)
 {
+    if (sb_)
+        return stepSuper(n);
     uint64_t executed = 0;
     while (!halted_ && executed < n) {
         stepOne();
         executed++;
+    }
+    return executed;
+}
+
+/**
+ * Exactly the predictor and PBS context calls stepOneOn makes for
+ * JZ/JNZ, JMP, CALL and RET, in the same order. The done cycle only
+ * feeds the timing model's redirect, which the mpki fidelity skips.
+ */
+struct Core::BranchObserver
+{
+    Core &core;
+
+    void
+    onCond(uint64_t pc, uint64_t target, bool taken)
+    {
+        core.predictAndTrain(pc, taken, false, 0);
+        if (core.cfg_.pbsEnabled)
+            core.pbs_.noteBranch(pc, target, taken);
+    }
+
+    void
+    onJump(uint64_t pc, uint64_t target)
+    {
+        if (core.cfg_.pbsEnabled)
+            core.pbs_.noteBranch(pc, target, true);
+    }
+
+    void
+    onCall(uint64_t pc)
+    {
+        if (core.cfg_.pbsEnabled)
+            core.pbs_.noteCall(pc);
+    }
+
+    void
+    onReturn()
+    {
+        if (core.cfg_.pbsEnabled)
+            core.pbs_.noteReturn();
+    }
+};
+
+uint64_t
+Core::stepSuper(uint64_t n)
+{
+    const exec::SuperblockImage &sb = *sb_;
+    exec::SbCtx ctx;
+    ctx.regs = regs_.data();
+    ctx.mem = &mem_;
+    ctx.probSeq = probSeq_.data();
+    ctx.halted = &halted_;
+    BranchObserver observer{*this};
+
+    uint64_t executed = 0;
+    while (!halted_ && executed < n) {
+        const uint32_t bi = sb.blockAt(pc_);
+        if (bi != exec::SuperblockImage::kNoBlock &&
+            sb.blocks()[bi].instCount <= n - executed) {
+            // Chain whole blocks while they fit the budget. They hold
+            // no prob ops, so only the branch counter moves.
+            const uint64_t k =
+                exec::sbExec(dispatch_, sb, pc_, n - executed, ctx,
+                             observer);
+            executed += k;
+            stats_.instructions += k;
+            stats_.cycles = stats_.instructions;
+            stats_.branches += ctx.branches;
+            ctx.branches = 0;
+            pc_ = ctx.next;
+        } else {
+            // Prob ops, epilogues and mid-block entries: one
+            // instruction through stepOneOn, which keeps the PBS fetch
+            // "cycle" (stats_.instructions) exact and throws on a PC
+            // out of range.
+            stepOne();
+            executed++;
+        }
     }
     return executed;
 }

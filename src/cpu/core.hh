@@ -23,10 +23,20 @@
  * branch targets, FU classes and per-PC PBS metadata are resolved once
  * at construction, and the steady-state loop performs no heap
  * allocation (fixed rings and flat tables replace the per-instruction
- * container churn). The original interpretation straight out of
- * @ref isa::Program is kept selectable via CoreConfig::execPath as a
- * differential-testing reference; both paths produce bit-identical
- * architectural state, statistics and traces.
+ * container churn). In the mpki fidelity (SimMode::Functional) the
+ * predecoded path runs on the superblock executor the functional
+ * engine uses (exec/superblock.hh), with the direction predictor and
+ * the PBS context notes attached as its branch observer; prob ops stay
+ * outside the blocks and single-step through the same per-instruction
+ * step as the timing fidelity, which owns PBS steering. The original
+ * interpretation straight out of @ref isa::Program is kept selectable
+ * via CoreConfig::execPath as the differential-testing reference for
+ * both fidelities; both paths produce bit-identical architectural
+ * state, statistics and traces (tests/predecode_equiv_test.cc,
+ * tests/mpki_equiv_test.cc). `PBS_FUNC_DISPATCH` selects the mpki
+ * executor's backend as it does the functional engine's: `switch`
+ * single-steps every instruction, `superblock-portable` forces the
+ * function-pointer trampoline.
  */
 
 #ifndef PBS_CPU_CORE_HH
@@ -41,6 +51,7 @@
 #include "core/pbs_engine.hh"
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
+#include "exec/superblock.hh"
 #include "isa/decoded_image.hh"
 #include "isa/program.hh"
 #include "mem/cache.hh"
@@ -119,6 +130,12 @@ class Core
     static bool evalCmp(isa::CmpOp op, uint64_t a, uint64_t b);
     void stepOne();
 
+    /** step(n) on the superblock executor (mpki fidelity, Decoded). */
+    uint64_t stepSuper(uint64_t n);
+
+    /** The predictor and PBS notes as the executor's branch observer. */
+    struct BranchObserver;
+
     /**
      * One instruction on either execution path. @tparam Op is
      * isa::DecodedOp (predecoded path) or isa::Instruction (legacy
@@ -175,6 +192,11 @@ class Core
     mem::SparseMemory mem_;
     uint64_t pc_ = 0;
     bool halted_ = false;
+
+    /** Superblock executor (mpki-fidelity Decoded cores only, else
+     *  null) and its backend. */
+    std::unique_ptr<exec::SuperblockImage> sb_;
+    exec::FuncDispatch dispatch_ = exec::FuncDispatch::Switch;
 
     // Timing state.
     mem::MemoryHierarchy hierarchy_;

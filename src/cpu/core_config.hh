@@ -57,9 +57,12 @@ enum class SimMode {
  *  - Detailed: the cpu::Core (SimMode selects its fidelity; the
  *    legacy `--functional` flag maps to SimMode::Functional — the
  *    "mpki" fidelity that still updates predictors and the PBS engine
- *    but models no timing).
+ *    but models no timing, and runs on the functional engine's
+ *    superblock executor with the predictor and PBS notes as its
+ *    branch observer).
  *  - Legacy: the cpu::Core interpreting the isa::Program directly
- *    (ExecPath::LegacyProgram), the differential-testing reference.
+ *    (ExecPath::LegacyProgram), the differential-testing reference
+ *    for both fidelities.
  *  - Functional: the sampling subsystem's FunctionalEngine —
  *    architectural state only, no predictors, no caches, no timing.
  *  - Sampled: SMARTS-style systematic sampling (functional
@@ -96,10 +99,13 @@ struct SampleParams
  * bit-identical in every architectural and statistical output; the
  * legacy path re-derives static instruction properties per dynamic
  * instruction and exists as the differential-testing reference for the
- * predecoded path (tests/predecode_equiv_test.cc).
+ * predecoded path (tests/predecode_equiv_test.cc). In the mpki fidelity
+ * the predecoded path runs on the superblock executor with a branch
+ * observer, so the legacy path is that executor's oracle too
+ * (tests/mpki_equiv_test.cc).
  */
 enum class ExecPath {
-    Decoded,        ///< predecoded isa::DecodedImage (default, fast)
+    Decoded,        ///< predecoded image; superblocks in mpki (default)
     LegacyProgram,  ///< direct isa::Program interpretation (reference)
 };
 

@@ -1,12 +1,35 @@
-#include "sampling/superblock.hh"
+#include "exec/superblock.hh"
 
-#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
-#include <string>
 
-#include "isa/arith.hh"
+namespace pbs::exec {
 
-namespace pbs::sampling {
+FuncDispatch
+defaultFuncDispatch()
+{
+    // Mirrors PBS_TASK_POOL=static: an env escape hatch back to the
+    // reference implementation, re-read on every construction so tests
+    // can flip it without relinking.
+    const char *env = std::getenv("PBS_FUNC_DISPATCH");
+    if (env && std::strcmp(env, "switch") == 0)
+        return FuncDispatch::Switch;
+    if (env && std::strcmp(env, "superblock-portable") == 0)
+        return FuncDispatch::SuperblockPortable;
+    return FuncDispatch::Superblock;
+}
+
+const char *
+funcDispatchName(FuncDispatch d)
+{
+    switch (d) {
+      case FuncDispatch::Superblock: return "superblock";
+      case FuncDispatch::SuperblockPortable: return "superblock-portable";
+      case FuncDispatch::Switch: return "switch";
+    }
+    return "?";
+}
 
 using isa::DecodedOp;
 using isa::Opcode;
@@ -239,7 +262,7 @@ makeTerminator(const DecodedOp &d)
 }  // namespace
 
 SuperblockImage
-SuperblockImage::build(const isa::DecodedImage &img)
+SuperblockImage::build(const isa::DecodedImage &img, bool excludeProbOps)
 {
     SuperblockImage sbi;
     const auto &ops = img.ops();
@@ -247,15 +270,19 @@ SuperblockImage::build(const isa::DecodedImage &img)
     sbi.blockAt_.assign(n, kNoBlock);
 
     for (uint64_t lead = 0; lead < n; lead++) {
-        if (!ops[lead].isLeader())
+        if (!ops[lead].isLeader() ||
+            (excludeProbOps && ops[lead].isProb()))
             continue;
 
         // Extent: [lead, interiorEnd) straight-line ops, then an
         // optional terminating control/prob op at termPc. The run also
-        // stops before the next leader (a branch may enter there).
+        // stops before the next leader (a branch may enter there) and,
+        // when prob ops are excluded, before a prob op.
         uint64_t cur = lead;
         int64_t termPc = -1;
         while (true) {
+            if (excludeProbOps && ops[cur].isProb())
+                break;
             if (terminatesBlock(ops[cur])) {
                 termPc = static_cast<int64_t>(cur);
                 break;
@@ -354,172 +381,4 @@ SuperblockImage::build(const isa::DecodedImage &img)
     return sbi;
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch backends. Both expand superblock_ops.inc; handler bodies see
-// `ctx`, `op` and the accessor macros below. Reads index the register
-// file directly: regs[REG_ZERO] is architecturally pinned to 0 (every
-// writer guards it — SB_WR here, wr() in both engines — and restoreArch
-// re-normalizes), so no per-operand guard is needed.
-// ---------------------------------------------------------------------------
-
-#define SB_RR(r) (ctx.regs[r])
-#define SB_WR(r, v)                                                    \
-    do {                                                               \
-        const uint8_t sb_r_ = (r);                                     \
-        const uint64_t sb_v_ = (v);                                    \
-        if (sb_r_ != pbs::isa::REG_ZERO)                               \
-            ctx.regs[sb_r_] = sb_v_;                                   \
-    } while (0)
-#define SB_RD(r) (pbs::isa::bitsToDouble(ctx.regs[r]))
-#define SB_WD(r, v) SB_WR(r, pbs::isa::doubleBits(v))
-
-namespace {
-
-using SbFn = const SuperOp *(*)(SbCtx &, const SuperOp *);
-
-#define SB_OP(name, ...)                                               \
-    const SuperOp *sbh_##name(SbCtx &ctx, const SuperOp *op)           \
-    {                                                                  \
-        (void)ctx;                                                     \
-        (void)op;                                                      \
-        { __VA_ARGS__ }                                                \
-        return op + 1;                                                 \
-    }
-#define SB_TERM(name, ...)                                             \
-    const SuperOp *sbh_##name(SbCtx &ctx, const SuperOp *op)           \
-    {                                                                  \
-        (void)ctx;                                                     \
-        (void)op;                                                      \
-        { __VA_ARGS__ }                                                \
-        return nullptr;                                                \
-    }
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-
-const SbFn kSbTable[] = {
-#define SB_OP(name, ...) sbh_##name,
-#define SB_TERM(name, ...) sbh_##name,
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-};
-
-static_assert(sizeof(kSbTable) / sizeof(kSbTable[0]) ==
-                  static_cast<size_t>(SbHandler::NUM_HANDLERS),
-              "handler table out of sync with SbHandler");
-
-}  // namespace
-
-uint64_t
-sbExecPortable(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    const SuperOp *sops = img.sops().data();
-    const Superblock *blocks = img.blocks().data();
-    const uint32_t *blockAt = img.blockAtData();
-    const uint64_t pcLimit = img.pcLimit();
-
-    uint64_t executed = 0;
-    const Superblock *b = &blocks[blockAt[pc]];
-    while (true) {
-        executed += b->instCount;
-        ctx.fall = b->fall;
-        const SuperOp *op = &sops[b->first];
-        while (op)
-            op = kSbTable[op->handler](ctx, op);
-        if (*ctx.halted || ctx.next >= pcLimit)
-            return executed;
-        const uint32_t bi = blockAt[ctx.next];
-        if (bi == SuperblockImage::kNoBlock)
-            return executed;
-        b = &blocks[bi];
-        if (executed + b->instCount > budget)
-            return executed;
-    }
-}
-
-#if defined(PBS_HAVE_COMPUTED_GOTO)
-
-const char *
-sbThreadedKind()
-{
-    return "computed-goto";
-}
-
-uint64_t
-sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    // One label per handler, in SbHandler order (same .inc expansion
-    // order as the enum). Execution threads label-to-label inside a
-    // block and block-to-block through sb_chain without ever leaving
-    // this frame: the only indirect branches are the goto *s.
-    static const void *kLabels[] = {
-#define SB_OP(name, ...) &&L_##name,
-#define SB_TERM(name, ...) &&L_##name,
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-    };
-
-    const SuperOp *sops = img.sops().data();
-    const Superblock *blocks = img.blocks().data();
-    const uint32_t *blockAt = img.blockAtData();
-    const uint64_t pcLimit = img.pcLimit();
-
-    const Superblock *b = &blocks[blockAt[pc]];
-    uint64_t executed = b->instCount;
-    ctx.fall = b->fall;
-    const SuperOp *op = &sops[b->first];
-    goto *kLabels[op->handler];
-
-#define SB_OP(name, ...)                                               \
-    L_##name: {                                                        \
-        { __VA_ARGS__ }                                                \
-        ++op;                                                          \
-        goto *kLabels[op->handler];                                    \
-    }
-#define SB_TERM(name, ...)                                             \
-    L_##name: {                                                        \
-        { __VA_ARGS__ }                                                \
-        goto sb_chain;                                                 \
-    }
-#include "sampling/superblock_ops.inc"
-#undef SB_OP
-#undef SB_TERM
-
-  sb_chain:
-    if (!*ctx.halted && ctx.next < pcLimit) {
-        const uint32_t bi = blockAt[ctx.next];
-        if (bi != SuperblockImage::kNoBlock) {
-            b = &blocks[bi];
-            if (executed + b->instCount <= budget) {
-                executed += b->instCount;
-                ctx.fall = b->fall;
-                op = &sops[b->first];
-                goto *kLabels[op->handler];
-            }
-        }
-    }
-    return executed;
-}
-
-#else  // !PBS_HAVE_COMPUTED_GOTO
-
-const char *
-sbThreadedKind()
-{
-    return "function-pointer";
-}
-
-uint64_t
-sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
-               SbCtx &ctx)
-{
-    return sbExecPortable(img, pc, budget, ctx);
-}
-
-#endif  // PBS_HAVE_COMPUTED_GOTO
-
-}  // namespace pbs::sampling
+}  // namespace pbs::exec

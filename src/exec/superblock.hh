@@ -1,10 +1,12 @@
 /**
  * @file
- * Superinstruction blocks for the functional fast-forward engine.
+ * Superinstruction blocks: the shared ISA executor behind the
+ * functional fast-forward engine (sampling::FunctionalEngine) and the
+ * mpki-fidelity cpu::Core.
  *
- * The per-instruction opcode switch in FunctionalEngine::stepOne pays
- * one hard-to-predict indirect branch plus loop bookkeeping per dynamic
- * instruction. This module predecodes a DecodedImage one level further:
+ * A per-instruction opcode switch pays one hard-to-predict indirect
+ * branch plus loop bookkeeping per dynamic instruction. This module
+ * predecodes a DecodedImage one level further:
  *
  *  - straight-line runs are stitched into @ref Superblock records whose
  *    @ref SuperOp elements are handler indices with pre-extracted
@@ -16,7 +18,11 @@
  *    GCC/Clang, a function-pointer trampoline elsewhere) and from block
  *    to block without leaving the dispatch loop, so the interpreter
  *    carries roughly one indirect branch per superop instead of the
- *    switch's per-instruction branch plus bounds checks.
+ *    switch's per-instruction branch plus bounds checks;
+ *  - control-flow terminators report each branch to a compile-time
+ *    observer (exec/superblock_exec.hh): the functional engine passes
+ *    a no-op one, the mpki core feeds its direction predictor and the
+ *    PBS context notes through it.
  *
  * Block formation rules (see also docs/architecture.md):
  *  - blocks start only at leaders (DecodedOp::kIsLeader: the entry
@@ -25,36 +31,58 @@
  *  - blocks end at any control opcode, at HALT, at prob-group
  *    boundaries (PROB_CMP and PROB_JMP both terminate, keeping prob
  *    groups out of fused handlers), and before the next leader;
+ *  - an image built with excludeProbOps keeps every PROB_CMP/PROB_JMP
+ *    out of blocks altogether: a block falls through to them and no
+ *    block starts at them, so the executor returns there and the
+ *    caller single-steps them on its own (PBS-steering) path;
  *  - fused handlers re-read the register file between the ops they
  *    merge, so every architectural write of the original sequence
  *    happens, in order, with identical aliasing/REG_ZERO semantics.
  *
  * Exactness contract: executing a block retires exactly instCount
  * instructions and leaves the same registers, memory, prob sequence
- * counters and stats as instCount iterations of stepOne. The engine
- * single-steps whenever a PC is not a block leader or a block does not
+ * counters and branch counts as instCount single steps. Callers
+ * single-step whenever a PC is not a block leader or a block does not
  * fit the remaining step budget, so step(n)/checkpoint capture stop at
- * exact instruction counts (tests/dispatch_equiv_test.cc and the
- * sampling_test checkpoint-boundary suite enforce both properties).
+ * exact instruction counts (tests/dispatch_equiv_test.cc,
+ * tests/mpki_equiv_test.cc and the sampling_test checkpoint-boundary
+ * suite enforce both properties).
  */
 
-#ifndef PBS_SAMPLING_SUPERBLOCK_HH
-#define PBS_SAMPLING_SUPERBLOCK_HH
+#ifndef PBS_EXEC_SUPERBLOCK_HH
+#define PBS_EXEC_SUPERBLOCK_HH
 
 #include <cstdint>
 #include <vector>
 
-#include "cpu/core_config.hh"
 #include "isa/decoded_image.hh"
 #include "mem/memory.hh"
 
-namespace pbs::sampling {
+namespace pbs::exec {
+
+/** How an engine executes instructions. */
+enum class FuncDispatch : uint8_t {
+    Superblock,          ///< stitched blocks, compiled-in threaded backend
+    SuperblockPortable,  ///< stitched blocks, function-pointer trampoline
+    Switch,              ///< reference per-instruction opcode switch
+};
+
+/**
+ * Dispatch mode selected by the `PBS_FUNC_DISPATCH` environment
+ * variable: "switch" and "superblock-portable" force those modes, any
+ * other value (or unset) selects Superblock. Read on every call so
+ * tests can flip it between engine constructions.
+ */
+FuncDispatch defaultFuncDispatch();
+
+/** Stable name of @p d ("superblock", "superblock-portable", "switch"). */
+const char *funcDispatchName(FuncDispatch d);
 
 /** Handler index of a SuperOp. Generated from superblock_ops.inc. */
 enum class SbHandler : uint16_t {
 #define SB_OP(name, ...) name,
 #define SB_TERM(name, ...) name,
-#include "sampling/superblock_ops.inc"
+#include "exec/superblock_ops.inc"
 #undef SB_OP
 #undef SB_TERM
     NUM_HANDLERS
@@ -92,16 +120,37 @@ struct Superblock
     uint64_t fall = 0;       ///< PC after the block's last instruction
 };
 
-/** Mutable engine state the handlers execute against. */
+/**
+ * Mutable engine state the handlers execute against. The branch
+ * counters accumulate across calls; callers fold them into their own
+ * statistics.
+ */
 struct SbCtx
 {
     uint64_t *regs = nullptr;          ///< register file (regs[0] == 0)
     mem::SparseMemory *mem = nullptr;
     uint64_t *probSeq = nullptr;       ///< per-probId dynamic counters
-    cpu::CoreStats *stats = nullptr;   ///< branches/probBranches bumped
     bool *halted = nullptr;
+    uint64_t branches = 0;             ///< conditional + prob branches
+    uint64_t probBranches = 0;         ///< branching PROB_JMPs
     uint64_t fall = 0;                 ///< current block's fallthrough PC
     uint64_t next = 0;                 ///< out: PC execution stopped at
+};
+
+/**
+ * Branch observer that ignores every event (the functional engine's).
+ * An observer's hooks run in program order at the terminator that
+ * retires the branch, with the branch's own PC:
+ *  - onCond(pc, target, taken): JZ/JNZ, fused or not;
+ *  - onJump(pc, target), onCall(pc), onReturn(): JMP, CALL, RET.
+ * CFD_JNZ and the prob ops report nothing.
+ */
+struct NoBranchObserver
+{
+    void onCond(uint64_t, uint64_t, bool) {}
+    void onJump(uint64_t, uint64_t) {}
+    void onCall(uint64_t) {}
+    void onReturn() {}
 };
 
 /** The superblock-stitched form of one DecodedImage. */
@@ -110,8 +159,13 @@ class SuperblockImage
   public:
     static constexpr uint32_t kNoBlock = UINT32_MAX;
 
-    /** Stitch @p img into superblocks (one pass, no simulation state). */
-    static SuperblockImage build(const isa::DecodedImage &img);
+    /**
+     * Stitch @p img into superblocks (one pass, no simulation state).
+     * @param excludeProbOps leave every PROB_CMP/PROB_JMP outside the
+     *        blocks (see the file comment).
+     */
+    static SuperblockImage build(const isa::DecodedImage &img,
+                                 bool excludeProbOps = false);
 
     const std::vector<SuperOp> &sops() const { return sops_; }
     const std::vector<Superblock> &blocks() const { return blocks_; }
@@ -143,27 +197,6 @@ class SuperblockImage
     BuildStats stats_;
 };
 
-/**
- * Execute superblocks starting at @p pc until the program halts, a PC
- * that is not a block leader is reached, the next block would exceed
- * @p budget retired instructions, or the PC leaves the image.
- *
- * Preconditions: blockAt(pc) != kNoBlock and that block's instCount is
- * <= @p budget (the engine single-steps otherwise).
- *
- * @return the number of instructions retired; ctx.next holds the PC
- *         execution stopped at.
- */
-uint64_t sbExecThreaded(const SuperblockImage &img, uint64_t pc,
-                        uint64_t budget, SbCtx &ctx);
+}  // namespace pbs::exec
 
-/** Same contract as sbExecThreaded via the portable trampoline. */
-uint64_t sbExecPortable(const SuperblockImage &img, uint64_t pc,
-                        uint64_t budget, SbCtx &ctx);
-
-/** Compiled-in threaded backend: "computed-goto" or "function-pointer". */
-const char *sbThreadedKind();
-
-}  // namespace pbs::sampling
-
-#endif  // PBS_SAMPLING_SUPERBLOCK_HH
+#endif  // PBS_EXEC_SUPERBLOCK_HH

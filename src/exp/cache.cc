@@ -8,6 +8,7 @@
 
 #include "obs/obs.hh"
 #include "sampling/store.hh"
+#include "util/atomic_file.hh"
 
 // Build-time generated salt (git describe + dirty-diff hash); absent
 // when building outside the CMake tree.
@@ -37,8 +38,8 @@ readFile(const fs::path &path, std::string &out)
 }
 
 /**
- * Atomic publish: write a per-key temp file, then rename. Parallel
- * writers of the same key race benignly (identical contents).
+ * Atomic publish through a writer-unique temp file, then rename.
+ * Parallel writers of the same key race benignly (identical contents).
  */
 bool
 publishFile(const fs::path &path, const std::string &text)
@@ -47,22 +48,7 @@ publishFile(const fs::path &path, const std::string &text)
     fs::create_directories(path.parent_path(), ec);
     if (ec)
         return false;
-
-    const fs::path tmp = path.string() + ".tmp";
-    {
-        std::ofstream outFile(tmp, std::ios::binary | std::ios::trunc);
-        if (!outFile)
-            return false;
-        outFile << text << '\n';
-        if (!outFile.good())
-            return false;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        return false;
-    }
-    return true;
+    return util::publishFileAtomic(path, text + '\n');
 }
 
 /**
@@ -242,9 +228,9 @@ ResultCache::gc(bool all, uint64_t graceSeconds) const
                 path.extension() != ".tmp") {
                 continue;
             }
-            // An in-flight writer's entry (or leftover .tmp) inside
-            // the grace window is never touched — a concurrent
-            // campaign may be mid-publish.
+            // An in-flight writer's entry (or its temp) inside the
+            // grace window is never touched — a concurrent campaign
+            // may be mid-publish. Older temps are a killed writer's.
             if (withinGrace(path, graceSeconds, cutoff)) {
                 r.kept++;
                 continue;
@@ -311,8 +297,21 @@ ResultCache::gc(bool all, uint64_t graceSeconds) const
             fs::remove_all(setDir, rmEc);
             if (!rmEc)
                 r.removed++;
-        } else {
-            r.kept++;
+            continue;
+        }
+        r.kept++;
+        // A live set keeps its files; a manifest temp past the grace
+        // window is a killed writer's and goes.
+        for (const auto &file : fs::directory_iterator(setDir, ec)) {
+            if (!file.is_regular_file() ||
+                file.path().extension() != ".tmp" ||
+                withinGrace(file.path(), graceSeconds, cutoff)) {
+                continue;
+            }
+            std::error_code rmEc;
+            fs::remove(file.path(), rmEc);
+            if (!rmEc)
+                r.removed++;
         }
     }
     return r;

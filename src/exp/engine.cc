@@ -85,28 +85,39 @@ pointLabel(const ExpPoint &pt)
     return pt.workload + " " + pt.predictor + (pt.pbs ? "+pbs" : "");
 }
 
+/**
+ * Per-instruction cost of each engine, in functional-engine
+ * instructions. From the layer table of `python3 simbench/run.py
+ * --workload mpki-sweep --trace 1` (medians of three runs on a 4-core
+ * Intel Xeon): cpu.detailed_ns_per_inst 51.6,
+ * cpu.mpki_ns_per_inst 12.3 and sampling.functional_ns_per_inst 3.1,
+ * rounded to whole ratios.
+ */
+constexpr uint64_t kFunctionalCost = 1;
+constexpr uint64_t kMpkiCost = 4;
+constexpr uint64_t kDetailedCost = 16;
+
 }  // namespace
 
 uint64_t
 pointCost(const ExpPoint &pt)
 {
-    uint64_t cost = pt.scale ? pt.scale : 1;
+    const uint64_t insts = pt.scale ? pt.scale : 1;
+    uint64_t cost;
     if (pt.mode == "functional") {
-        // Architectural-only: ~6x cheaper than detailed timing.
-        cost = std::max<uint64_t>(1, cost / 6);
+        cost = insts * kFunctionalCost;
     } else if (pt.mode == "sampled") {
         // One functional pass over the whole run plus a detailed
-        // (timing-speed) fraction of it: (warmup + measure) / interval
-        // of the instructions at the 4x timing multiplier. A sparse
-        // 2M-interval Pareto point is genuinely cheaper than the
-        // default 500k config and must schedule accordingly.
+        // fraction of it: (warmup + measure) / interval of the
+        // instructions. A sparse 2M-interval Pareto point is genuinely
+        // cheaper than the default 500k config and must schedule
+        // accordingly.
         const cpu::SampleParams sp = pointCoreConfig(pt).sample;
-        const uint64_t ff = std::max<uint64_t>(1, cost / 6);
-        const uint64_t detailed =
-            4 * cost * (sp.warmup + sp.measure) / sp.interval;
-        cost = ff + detailed;
-    } else if (!pt.functional) {
-        cost *= 4;  // the timing model is ~4x the mpki fidelity
+        cost = insts * kFunctionalCost +
+               kDetailedCost * insts * (sp.warmup + sp.measure) /
+                   sp.interval;
+    } else {
+        cost = insts * (pt.functional ? kMpkiCost : kDetailedCost);
     }
     if (pt.wide)
         cost *= 2;

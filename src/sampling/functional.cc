@@ -1,11 +1,10 @@
 #include "sampling/functional.hh"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include "exec/superblock_exec.hh"
 #include "isa/arith.hh"
 #include "isa/assembler.hh"
 
@@ -14,31 +13,6 @@ namespace pbs::sampling {
 using isa::CmpOp;
 using isa::DecodedOp;
 using isa::Opcode;
-
-FuncDispatch
-defaultFuncDispatch()
-{
-    // Mirrors PBS_TASK_POOL=static: an env escape hatch back to the
-    // reference implementation, re-read on every construction so tests
-    // can flip it without relinking.
-    const char *env = std::getenv("PBS_FUNC_DISPATCH");
-    if (env && std::strcmp(env, "switch") == 0)
-        return FuncDispatch::Switch;
-    if (env && std::strcmp(env, "superblock-portable") == 0)
-        return FuncDispatch::SuperblockPortable;
-    return FuncDispatch::Superblock;
-}
-
-const char *
-funcDispatchName(FuncDispatch d)
-{
-    switch (d) {
-      case FuncDispatch::Superblock: return "superblock";
-      case FuncDispatch::SuperblockPortable: return "superblock-portable";
-      case FuncDispatch::Switch: return "switch";
-    }
-    return "?";
-}
 
 FunctionalEngine::FunctionalEngine(const isa::Program &prog,
                                    uint64_t maxInstructions,
@@ -52,8 +26,8 @@ FunctionalEngine::FunctionalEngine(const isa::Program &prog,
         mem_.writeBlock(addr, bytes);
     probSeq_.assign(size_t(image_.maxProbId()) + 1, 0);
     if (dispatch_ != FuncDispatch::Switch)
-        sb_ = std::make_unique<SuperblockImage>(
-            SuperblockImage::build(image_));
+        sb_ = std::make_unique<exec::SuperblockImage>(
+            exec::SuperblockImage::build(image_));
 }
 
 void
@@ -105,32 +79,36 @@ FunctionalEngine::stepSuper(uint64_t n)
 {
     const isa::DecodedOp *ops = image_.ops().data();
     const uint64_t size = image_.size();
-    const SuperblockImage &sb = *sb_;
-    const bool portable = dispatch_ == FuncDispatch::SuperblockPortable;
-    SbCtx ctx;
+    const exec::SuperblockImage &sb = *sb_;
+    exec::SbCtx ctx;
     ctx.regs = regs_.data();
     ctx.mem = &mem_;
     ctx.probSeq = probSeq_.data();
-    ctx.stats = &stats_;
     ctx.halted = &halted_;
+    exec::NoBranchObserver noObserver;
 
     uint64_t pc = pc_;
     uint64_t executed = 0;
+    auto flush = [&] {
+        pc_ = pc;
+        stats_.instructions += executed;
+        stats_.branches += ctx.branches;
+        stats_.probBranches += ctx.probBranches;
+    };
     while (!halted_ && executed < n) {
         if (pc >= size) {
-            pc_ = pc;
-            stats_.instructions += executed;
+            flush();
             throw std::out_of_range("PC out of range: " +
                                     std::to_string(pc));
         }
         const uint32_t bi = sb.blockAt(pc);
-        if (bi != SuperblockImage::kNoBlock &&
+        if (bi != exec::SuperblockImage::kNoBlock &&
             sb.blocks()[bi].instCount <= n - executed) {
             // The dispatcher chains whole blocks while they fit the
             // remaining budget and stops at the first PC it cannot
             // handle; ctx.next is where execution stopped.
-            executed += portable ? sbExecPortable(sb, pc, n - executed, ctx)
-                                 : sbExecThreaded(sb, pc, n - executed, ctx);
+            executed += exec::sbExec(dispatch_, sb, pc, n - executed, ctx,
+                                     noObserver);
             pc = ctx.next;
         } else {
             // Epilogue / mid-block entry: retire one instruction at a
@@ -140,8 +118,7 @@ FunctionalEngine::stepSuper(uint64_t n)
             executed++;
         }
     }
-    pc_ = pc;
-    stats_.instructions += executed;
+    flush();
     return executed;
 }
 

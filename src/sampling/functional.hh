@@ -18,13 +18,15 @@
  * engine's sequence bookkeeping.
  *
  * Dispatch: by default the engine executes through superinstruction
- * blocks (src/sampling/superblock.hh) — straight-line runs stitched
- * into fused handlers with threaded-code dispatch — and falls back to
- * single-stepping the reference opcode switch whenever the PC is not a
- * block leader or a whole block would overshoot the step budget, so
- * step(n) still stops at exact instruction counts. The reference
- * switch is kept as an always-available escape hatch / differential
- * oracle (`PBS_FUNC_DISPATCH=switch`, tests/dispatch_equiv_test.cc).
+ * blocks (src/exec/superblock.hh, the executor it shares with the
+ * mpki-fidelity cpu::Core) with a no-op branch observer — straight-line
+ * runs stitched into fused handlers with threaded-code dispatch — and
+ * falls back to single-stepping the reference opcode switch whenever
+ * the PC is not a block leader or a whole block would overshoot the
+ * step budget, so step(n) still stops at exact instruction counts. The
+ * reference switch is kept as an always-available escape hatch /
+ * differential oracle (`PBS_FUNC_DISPATCH=switch`,
+ * tests/dispatch_equiv_test.cc).
  *
  * This is the engine behind `--mode functional` and the fast-forward
  * phase of `--mode sampled` (src/sampling/sampled.hh).
@@ -40,30 +42,17 @@
 
 #include "cpu/arch_state.hh"
 #include "cpu/core_config.hh"
+#include "exec/superblock.hh"
 #include "isa/decoded_image.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
-#include "sampling/superblock.hh"
 
 namespace pbs::sampling {
 
-/** How FunctionalEngine::step executes instructions. */
-enum class FuncDispatch : uint8_t {
-    Superblock,          ///< stitched blocks, compiled-in threaded backend
-    SuperblockPortable,  ///< stitched blocks, function-pointer trampoline
-    Switch,              ///< reference per-instruction opcode switch
-};
-
-/**
- * Dispatch mode selected by the `PBS_FUNC_DISPATCH` environment
- * variable: "switch" and "superblock-portable" force those modes, any
- * other value (or unset) selects Superblock. Read on every call so
- * tests can flip it between engine constructions.
- */
-FuncDispatch defaultFuncDispatch();
-
-/** Stable name of @p d ("superblock", "superblock-portable", "switch"). */
-const char *funcDispatchName(FuncDispatch d);
+// The dispatch selection is shared with the mpki core (exec/).
+using exec::FuncDispatch;
+using exec::defaultFuncDispatch;
+using exec::funcDispatchName;
 
 /** Architectural-only execution of a decoded program. */
 class FunctionalEngine
@@ -107,7 +96,7 @@ class FunctionalEngine
     FuncDispatch dispatch() const { return dispatch_; }
 
     /** Stitched blocks, or nullptr in Switch mode. */
-    const SuperblockImage *superblocks() const { return sb_.get(); }
+    const exec::SuperblockImage *superblocks() const { return sb_.get(); }
 
     /** Snapshot the architectural state (checkpoint capture). */
     cpu::ArchState saveArch() const;
@@ -143,7 +132,7 @@ class FunctionalEngine
     std::vector<uint64_t> probSeq_;  ///< dynamic instances per probId
 
     FuncDispatch dispatch_ = FuncDispatch::Superblock;
-    std::unique_ptr<SuperblockImage> sb_;  ///< null in Switch mode
+    std::unique_ptr<exec::SuperblockImage> sb_;  ///< null in Switch mode
 };
 
 }  // namespace pbs::sampling

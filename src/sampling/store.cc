@@ -8,6 +8,7 @@
 
 #include "obs/obs.hh"
 #include "sampling/checkpoint.hh"
+#include "util/atomic_file.hh"
 #include "util/hash.hh"
 #include "util/json.hh"
 
@@ -223,21 +224,8 @@ saveCheckpointSet(const std::string &dir, const StoreKey &key,
     // Atomic publish: checkpoint payloads are already on disk, so a
     // readable manifest always names a complete set.
     const fs::path manifest = fs::path(dir) / kStoreManifest;
-    const fs::path tmp = manifest.string() + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            fail("cannot write " + tmp.string());
-        out << w.str();
-        out.close();
-        if (!out.good())
-            fail("error writing " + tmp.string());
-    }
-    fs::rename(tmp, manifest, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
+    if (!util::publishFileAtomic(manifest, w.str()))
         fail("cannot publish " + manifest.string());
-    }
 
     // Only after the new manifest is live: drop checkpoint files a
     // previous, larger set left behind (the old manifest referenced

@@ -7,7 +7,7 @@
  * programs from the property_test generator, on programs that branch
  * into the middle of would-be-fused runs, and at every step(n)
  * boundary. This suite is the safety gate for the superinstruction
- * optimisation (src/sampling/superblock.cc): any rewriting of the
+ * optimisation (src/exec/superblock.cc): any rewriting of the
  * instruction stream that is not exactly per-instruction equivalent
  * fails here before it can touch checkpoint capture.
  */
@@ -20,7 +20,7 @@
 #include "isa/assembler.hh"
 #include "rng/rng.hh"
 #include "sampling/functional.hh"
-#include "sampling/superblock.hh"
+#include "exec/superblock.hh"
 #include "workloads/common.hh"
 
 #include "support/random_program.hh"
@@ -30,8 +30,8 @@ namespace {
 using namespace pbs;
 using sampling::FuncDispatch;
 using sampling::FunctionalEngine;
-using sampling::SbHandler;
-using sampling::SuperblockImage;
+using exec::SbHandler;
+using exec::SuperblockImage;
 using testsupport::randomProgram;
 
 constexpr FuncDispatch kSuperModes[] = {

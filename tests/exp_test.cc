@@ -8,9 +8,12 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
@@ -835,6 +838,57 @@ TEST_F(ExpCacheTest, GcGraceSparesFreshEntriesOfEveryKind)
     EXPECT_EQ(r.kept, 1u);
     exp::Measurement m;
     EXPECT_TRUE(cache.load(exp::cacheKey(pt), pt.kind, m));
+}
+
+// A concurrent writer of the same key holds a temp under the entry's
+// old shared temp name, hard-linked to the entry it just renamed into
+// place. Publishing must go through a temp of its own: the foreign
+// file keeps its bytes and the published entry is complete. Once the
+// foreign temp is older than the grace window, gc sweeps it.
+TEST_F(ExpCacheTest, PublishNeverWritesThroughAForeignTemp)
+{
+    exp::ResultCache cache(cacheDir());
+    exp::ExpPoint pt = tinyPoint();
+    const std::string key = exp::cacheKey(pt);
+    ASSERT_TRUE(cache.store(key, pt, exp::Measurement{}));
+    const fs::path entry = fs::path(cacheDir()) / (key + ".json");
+    const fs::path foreign = entry.string() + ".tmp";
+    fs::create_hard_link(entry, foreign);
+    auto slurp = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string before = slurp(foreign);
+
+    const exp::Measurement m = exp::Engine::computePoint(pt);
+    ASSERT_TRUE(cache.store(key, pt, m));
+    EXPECT_EQ(slurp(foreign), before);
+    exp::Measurement loaded;
+    ASSERT_TRUE(cache.load(key, pt.kind, loaded));
+    EXPECT_EQ(loaded, m);
+
+    // Orphaned temps: a fresh one is spared, an old one is swept, in
+    // the results dir and inside a live checkpoint set alike.
+    const auto old = fs::file_time_type::clock::now() -
+                     std::chrono::hours(2);
+    fs::last_write_time(foreign, old);
+    std::ofstream(entry.string() + ".4242.0.tmp") << "{\"salt\":";
+    const fs::path set = fs::path(cacheDir()) / "ckpt" / "abcd";
+    fs::create_directories(set);
+    std::ofstream(set / "manifest.json")
+        << "{\"key\":{\"salt\":\"" << exp::versionSalt() << "\"}}";
+    std::ofstream(set / "manifest.json.4242.1.tmp") << "{";
+    fs::last_write_time(set / "manifest.json.4242.1.tmp", old);
+    fs::last_write_time(set, old);
+
+    const auto r = cache.gc(false, /*graceSeconds=*/3600);
+    EXPECT_EQ(r.removed, 2u);
+    EXPECT_EQ(r.kept, 3u);  // entry, fresh temp, live set
+    EXPECT_FALSE(fs::exists(foreign));
+    EXPECT_FALSE(fs::exists(set / "manifest.json.4242.1.tmp"));
+    EXPECT_TRUE(fs::exists(set / "manifest.json"));
+    EXPECT_TRUE(cache.load(key, pt.kind, loaded));
 }
 
 TEST_F(ShardMergeTest, MergeThroughCacheStoresAndFillsFromPartials)

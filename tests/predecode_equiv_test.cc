@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "cpu/core.hh"
 #include "isa/assembler.hh"
 #include "isa/decoded_image.hh"
@@ -82,63 +85,73 @@ expectIdentical(const RunOutcome &legacy, const RunOutcome &decoded,
     EXPECT_TRUE(legacyMem.sameContents(decodedMem)) << what;
 }
 
-class PredecodeEquiv : public ::testing::TestWithParam<const char *> {};
-
-TEST_P(PredecodeEquiv, TimingWithPbsAndTrace)
+/** Run @p name at 1/100 scale under @p cfg on both execution paths,
+ *  once per seed, and diff every outcome. */
+void
+expectPathsAgree(const char *name, cpu::CoreConfig cfg,
+                 std::initializer_list<uint64_t> seeds)
 {
-    const auto &b = workloads::benchmarkByName(GetParam());
-    for (uint64_t seed : {3u, 17u, 1009u}) {
+    const auto &b = workloads::benchmarkByName(name);
+    for (uint64_t seed : seeds) {
         workloads::WorkloadParams p;
         p.seed = seed;
         p.scale = std::max<uint64_t>(1, b.defaultScale / 100);
 
-        cpu::CoreConfig legacyCfg;
-        legacyCfg.predictor = "tage-sc-l";
-        legacyCfg.pbsEnabled = true;
-        legacyCfg.traceProbBranches = true;
-        legacyCfg.execPath = cpu::ExecPath::LegacyProgram;
-        cpu::CoreConfig decodedCfg = legacyCfg;
-        decodedCfg.execPath = cpu::ExecPath::Decoded;
-
-        cpu::Core legacy(b.build(p, workloads::Variant::Marked),
-                         legacyCfg);
+        cfg.execPath = cpu::ExecPath::LegacyProgram;
+        cpu::Core legacy(b.build(p, workloads::Variant::Marked), cfg);
         legacy.run();
-        cpu::Core decoded(b.build(p, workloads::Variant::Marked),
-                          decodedCfg);
+        cfg.execPath = cpu::ExecPath::Decoded;
+        cpu::Core decoded(b.build(p, workloads::Variant::Marked), cfg);
         decoded.run();
         expectIdentical(outcomeOf(b, legacy), outcomeOf(b, decoded),
                         legacy.memory(), decoded.memory(),
-                        std::string(GetParam()) + " seed " +
+                        std::string(name) + " seed " +
                             std::to_string(seed));
     }
 }
 
+class PredecodeEquiv : public ::testing::TestWithParam<const char *> {};
+
+TEST_P(PredecodeEquiv, TimingWithPbsAndTrace)
+{
+    cpu::CoreConfig cfg;
+    cfg.predictor = "tage-sc-l";
+    cfg.pbsEnabled = true;
+    cfg.traceProbBranches = true;
+    expectPathsAgree(GetParam(), cfg, {3u, 17u, 1009u});
+}
+
 TEST_P(PredecodeEquiv, FunctionalNoPbs)
 {
-    const auto &b = workloads::benchmarkByName(GetParam());
-    for (uint64_t seed : {5u, 23u, 999u}) {
-        workloads::WorkloadParams p;
-        p.seed = seed;
-        p.scale = std::max<uint64_t>(1, b.defaultScale / 100);
+    cpu::CoreConfig cfg;
+    cfg.mode = cpu::SimMode::Functional;
+    cfg.predictor = "tournament";
+    expectPathsAgree(GetParam(), cfg, {5u, 23u, 999u});
+}
 
-        cpu::CoreConfig legacyCfg;
-        legacyCfg.mode = cpu::SimMode::Functional;
-        legacyCfg.predictor = "tournament";
-        legacyCfg.execPath = cpu::ExecPath::LegacyProgram;
-        cpu::CoreConfig decodedCfg = legacyCfg;
-        decodedCfg.execPath = cpu::ExecPath::Decoded;
+// The mpki fidelity with PBS on and every prob instance traced: the
+// decoded path runs superblocks with the predictor and the PBS context
+// notes as a branch observer and single-steps the prob ops, so this is
+// the oracle for steering, value swaps and sequence bookkeeping there.
+TEST_P(PredecodeEquiv, FunctionalWithPbsAndTrace)
+{
+    cpu::CoreConfig cfg;
+    cfg.mode = cpu::SimMode::Functional;
+    cfg.predictor = "tage-sc-l";
+    cfg.pbsEnabled = true;
+    cfg.traceProbBranches = true;
+    expectPathsAgree(GetParam(), cfg, {7u, 31u, 4242u});
+}
 
-        cpu::Core legacy(b.build(p, workloads::Variant::Marked),
-                         legacyCfg);
-        legacy.run();
-        cpu::Core decoded(b.build(p, workloads::Variant::Marked),
-                          decodedCfg);
-        decoded.run();
-        expectIdentical(outcomeOf(b, legacy), outcomeOf(b, decoded),
-                        legacy.memory(), decoded.memory(),
-                        std::string(GetParam()) + " seed " +
-                            std::to_string(seed));
-    }
+// The Fig. 9 filter in the mpki fidelity: prob branches go to the
+// static side predictor, every other conditional branch to the main one.
+TEST_P(PredecodeEquiv, FunctionalFilter)
+{
+    cpu::CoreConfig cfg;
+    cfg.mode = cpu::SimMode::Functional;
+    cfg.predictor = "tage-sc-l";
+    cfg.filterProbFromPredictor = true;
+    expectPathsAgree(GetParam(), cfg, {13u, 77u, 2718u});
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -194,14 +196,14 @@ TEST(Checkpoint, AdversarialCountsMatchAcrossDispatch)
     sampling::FunctionalEngine probe(
         prog, 0, sampling::FuncDispatch::Superblock);
     ASSERT_NE(probe.superblocks(), nullptr);
-    const sampling::SuperblockImage &sb = *probe.superblocks();
+    const exec::SuperblockImage &sb = *probe.superblocks();
     probe.step(10000);
     uint64_t c = 10000, edge = 0, interior = 0;
     while ((!edge || !interior) && !probe.halted()) {
         probe.step(1);
         c++;
         const bool leader =
-            sb.blockAt(probe.pc()) != sampling::SuperblockImage::kNoBlock;
+            sb.blockAt(probe.pc()) != exec::SuperblockImage::kNoBlock;
         if (leader && !edge)
             edge = c;
         if (!leader && !interior)
@@ -651,6 +653,37 @@ TEST_F(CheckpointStoreTest, ResaveDropsUnreferencedCheckpointFiles)
     sampling::CheckpointSet loaded =
         sampling::loadCheckpointSet(dir(), key);
     EXPECT_EQ(loaded.checkpoints.size(), 2u);
+}
+
+// A concurrent writer of the same set holds a temp under the manifest's
+// old shared temp name, hard-linked to the live manifest it just
+// renamed into place. Republishing must go through a temp of its own:
+// the foreign file keeps its bytes and the new manifest is complete.
+TEST_F(CheckpointStoreTest, RepublishNeverWritesThroughAForeignTemp)
+{
+    isa::Program prog = buildWorkload("pi", 5, 20);
+    cpu::CoreConfig cfg = sampledConfig();
+    sampling::StoreKey key = storeKey();
+    sampling::saveCheckpointSet(dir(), key,
+                                sampling::captureCheckpoints(prog, cfg));
+    const fs::path manifest = dir_ / sampling::kStoreManifest;
+    const fs::path foreign = manifest.string() + ".tmp";
+    fs::create_hard_link(manifest, foreign);
+    auto slurp = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        return std::string((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    };
+    const std::string before = slurp(foreign);
+
+    cfg.sample.maxSamples = 2;
+    key.maxSamples = 2;
+    sampling::saveCheckpointSet(dir(), key,
+                                sampling::captureCheckpoints(prog, cfg));
+    EXPECT_EQ(slurp(foreign), before);
+    EXPECT_NE(slurp(manifest), before);
+    EXPECT_EQ(sampling::loadCheckpointSet(dir(), key).checkpoints.size(),
+              2u);
 }
 
 TEST_F(CheckpointStoreTest, SlicedMeasurementMatchesFullFanOut)
