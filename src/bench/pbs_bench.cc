@@ -7,6 +7,7 @@
  *             [--modes M1,M2] [--sample-interval N] [--sample-warmup N]
  *             [--sample-measure N] [--out FILE] [--baseline FILE]
  *             [--max-regress F] [--write-baseline FILE] [--list]
+ *             [observability flags: see driver/frontend.hh]
  *
  * Measures every registered workload x predictor pair (plus PBS-on
  * points), optionally crossed with execution modes (--modes
@@ -24,19 +25,16 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench/bench.hh"
-#include "driver/options.hh"
+#include "driver/frontend.hh"
 #include "exp/cache.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
-#include "obs/obs.hh"
 #include "obs/telemetry.hh"
-#include "util/task_pool.hh"
+#include "util/cli.hh"
 
 namespace {
 
@@ -54,20 +52,12 @@ usage(const char *msg = nullptr)
         "                 [--sample-warmup N] [--sample-measure N]\n"
         "                 [--seed S] [--out FILE] [--baseline FILE]\n"
         "                 [--max-regress F] [--write-baseline FILE]\n"
-        "                 [--trace FILE] [--metrics FILE]\n"
-        "                 [--manifest FILE] [--telemetry FILE]\n"
-        "                 [--telemetry-interval MS] [--list]\n"
+        "                 [observability flags] [--list]\n"
         "modes: detailed (default), legacy, functional,\n"
-        "       functional-switch, sampled, mpki\n");
+        "       functional-switch, sampled, mpki\n"
+        "observability flags:\n%s",
+        driver::obsUsageText());
     return msg ? 2 : 0;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::ofstream os(path, std::ios::binary);
-    os << content;
-    return os.good();
 }
 
 }  // namespace
@@ -78,9 +68,8 @@ main(int argc, char **argv)
     obs::manifestBegin("pbs_bench", argc, argv);
     bench::BenchConfig cfg;
     std::string out, baseline, writeBaseline;
-    std::string traceFile, metricsFile;
-    std::string manifestFile, telemetryFile;
-    uint64_t telemetryIntervalMs = 1000;
+    driver::ObsFlags obsFlags;
+    std::string obsError;
     std::string workloads, predictors, modes;
     double maxRegress = 0.20;
     bool list = false;
@@ -96,98 +85,78 @@ main(int argc, char **argv)
             list = true;
         } else if (args[i] == "--help" || args[i] == "-h") {
             return usage();
-        } else if ((r = driver::takeOptionValue(args, i, "--jobs", v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.jobs))
+        } else if ((r = util::takeOptionValue(args, i, "--jobs", v))) {
+            if (r < 0 || !util::parseUnsignedArg(v, cfg.jobs) ||
+                cfg.jobs == 0)
                 return usage("bad --jobs");
-        } else if ((r = driver::takeOptionValue(args, i, "--repeats",
-                                                v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.repeats))
+        } else if ((r = util::takeOptionValue(args, i, "--repeats",
+                                              v))) {
+            if (r < 0 || !util::parseUnsignedArg(v, cfg.repeats))
                 return usage("bad --repeats");
-        } else if ((r = driver::takeOptionValue(args, i, "--div", v))) {
-            if (r < 0 || !driver::parseUnsignedArg(v, cfg.divisor))
+        } else if ((r = util::takeOptionValue(args, i, "--div", v))) {
+            if (r < 0 || !util::parseUnsignedArg(v, cfg.divisor) ||
+                cfg.divisor == 0)
                 return usage("bad --div");
             divisorExplicit = true;
-        } else if ((r = driver::takeOptionValue(args, i, "--seed", v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--seed", v))) {
             uint64_t seed;
-            if (r < 0 || !driver::parseU64Arg(v, seed))
+            if (r < 0 || !util::parseU64Arg(v, seed))
                 return usage("bad --seed");
             cfg.seed = seed;
-        } else if ((r = driver::takeOptionValue(args, i, "--workloads",
-                                                v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--workloads",
+                                              v))) {
             if (r < 0)
                 return usage("bad --workloads");
             workloads = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--predictors",
-                                                v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--predictors",
+                                              v))) {
             if (r < 0)
                 return usage("bad --predictors");
             predictors = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--modes",
-                                                v)) ||
-                   (r = driver::takeOptionValue(args, i, "--mode", v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--modes",
+                                              v)) ||
+                   (r = util::takeOptionValue(args, i, "--mode", v))) {
             if (r < 0)
                 return usage("bad --modes");
             modes = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-interval",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.interval) ||
+        } else if ((r = util::takeOptionValue(args, i,
+                                              "--sample-interval",
+                                              v))) {
+            if (r < 0 || !util::parseU64Arg(v, cfg.sample.interval) ||
                 cfg.sample.interval == 0) {
                 return usage("bad --sample-interval");
             }
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-warmup", v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.warmup))
+        } else if ((r = util::takeOptionValue(args, i,
+                                              "--sample-warmup", v))) {
+            if (r < 0 || !util::parseU64Arg(v, cfg.sample.warmup))
                 return usage("bad --sample-warmup");
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--sample-measure",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, cfg.sample.measure) ||
+        } else if ((r = util::takeOptionValue(args, i,
+                                              "--sample-measure",
+                                              v))) {
+            if (r < 0 || !util::parseU64Arg(v, cfg.sample.measure) ||
                 cfg.sample.measure == 0) {
                 return usage("bad --sample-measure");
             }
-        } else if ((r = driver::takeOptionValue(args, i, "--out", v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--out", v))) {
             if (r < 0)
                 return usage("bad --out");
             out = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--trace",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --trace (needs an output file)");
-            traceFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--metrics",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --metrics (needs an output file)");
-            metricsFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--manifest",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --manifest (needs an output file)");
-            manifestFile = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--telemetry",
-                                                v))) {
-            if (r < 0 || v.empty())
-                return usage("bad --telemetry (needs an output file)");
-            telemetryFile = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--telemetry-interval",
-                                                v))) {
-            if (r < 0 || !driver::parseU64Arg(v, telemetryIntervalMs) ||
-                telemetryIntervalMs == 0)
-                return usage("bad --telemetry-interval (ms, >= 1)");
-        } else if ((r = driver::takeOptionValue(args, i, "--baseline",
-                                                v))) {
+        } else if ((r = driver::takeObsFlag(args, i, obsFlags,
+                                            obsError))) {
+            if (r < 0)
+                return usage(obsError.c_str());
+        } else if ((r = util::takeOptionValue(args, i, "--baseline",
+                                              v))) {
             if (r < 0)
                 return usage("bad --baseline");
             baseline = v;
-        } else if ((r = driver::takeOptionValue(args, i,
-                                                "--write-baseline", v))) {
+        } else if ((r = util::takeOptionValue(args, i,
+                                              "--write-baseline", v))) {
             if (r < 0)
                 return usage("bad --write-baseline");
             writeBaseline = v;
-        } else if ((r = driver::takeOptionValue(args, i, "--max-regress",
-                                                v))) {
+        } else if ((r = util::takeOptionValue(args, i, "--max-regress",
+                                              v))) {
             char *end = nullptr;
             maxRegress = r > 0 ? std::strtod(v.c_str(), &end) : 0.0;
             if (r < 0 || !end || *end != '\0' || v.empty() ||
@@ -230,19 +199,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    obs::Options obsOpts;
-    obsOpts.trace = !traceFile.empty();
-    obsOpts.metrics = !metricsFile.empty();
-    if (obsOpts.trace || obsOpts.metrics)
-        obs::enable(obsOpts);
-    if (!manifestFile.empty())
-        obs::manifestEnable();
-    if (!telemetryFile.empty() &&
-        !obs::telemetryStart(telemetryFile, telemetryIntervalMs)) {
-        std::fprintf(stderr,
-                     "pbs_bench: warning: cannot write telemetry %s\n",
-                     telemetryFile.c_str());
-    }
+    driver::startObs("pbs_bench", obsFlags);
 
     std::fprintf(stderr,
                  "pbs_bench: %zu points, div %u, %u job(s), %u repeat(s)\n",
@@ -250,17 +207,6 @@ main(int argc, char **argv)
                  std::max(1u, cfg.repeats));
 
     const auto results = bench::runBench(points, cfg);
-
-    pool::recordPoolMetrics();
-    obs::telemetryStop();
-    if (!traceFile.empty() && !obs::writeTrace(traceFile)) {
-        std::fprintf(stderr, "pbs_bench: warning: cannot write trace "
-                     "%s\n", traceFile.c_str());
-    }
-    if (!metricsFile.empty() && !obs::writeMetrics(metricsFile)) {
-        std::fprintf(stderr, "pbs_bench: warning: cannot write metrics "
-                     "%s\n", metricsFile.c_str());
-    }
 
     // Human-readable summary on stdout.
     std::printf("%-10s %-16s %-4s %-10s %14s %10s %10s\n", "workload",
@@ -277,35 +223,15 @@ main(int argc, char **argv)
     std::printf("geomean: %.2f MIPS\n", bench::geomeanMips(results));
 
     const std::string artifact = bench::benchJson(results, cfg);
-    if (!out.empty()) {
-        if (!writeFile(out, artifact)) {
-            std::fprintf(stderr, "pbs_bench: cannot write %s\n",
-                         out.c_str());
+    for (const std::string *path : {&out, &writeBaseline}) {
+        if (!path->empty() &&
+            !driver::writeArtifact("pbs_bench", *path, artifact,
+                                   "pbs-bench-v2")) {
+            obs::telemetryStop();
             return 1;
         }
-        obs::manifestAddArtifact(out, artifact, "pbs-bench-v2");
     }
-    if (!writeBaseline.empty()) {
-        if (!writeFile(writeBaseline, artifact)) {
-            std::fprintf(stderr, "pbs_bench: cannot write %s\n",
-                         writeBaseline.c_str());
-            return 1;
-        }
-        obs::manifestAddArtifact(writeBaseline, artifact,
-                                 "pbs-bench-v2");
-    }
-    if (!manifestFile.empty()) {
-        obs::manifestSetSalt(exp::versionSalt());
-        obs::manifestSetJobs(pool::TaskPool::instance().jobs());
-        obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
-                                       pool::Policy::Static
-                                   ? "static"
-                                   : "steal");
-        if (!obs::writeManifest(manifestFile))
-            std::fprintf(stderr,
-                         "pbs_bench: warning: cannot write manifest "
-                         "%s\n", manifestFile.c_str());
-    }
+    driver::finishObs("pbs_bench", obsFlags, exp::versionSalt());
 
     if (!baseline.empty()) {
         std::ifstream is(baseline, std::ios::binary);

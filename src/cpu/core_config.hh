@@ -54,12 +54,11 @@ enum class SimMode {
 /**
  * Which execution engine runs the program (the driver-level `--mode`).
  *
- *  - Detailed: the cpu::Core (SimMode selects its fidelity; the
- *    legacy `--functional` flag maps to SimMode::Functional — the
- *    "mpki" fidelity that still updates predictors and the PBS engine
- *    but models no timing, and runs on the functional engine's
- *    superblock executor with the predictor and PBS notes as its
- *    branch observer).
+ *  - Detailed: the cpu::Core (SimMode selects its fidelity;
+ *    `--mode mpki` maps to SimMode::Functional — the fidelity that
+ *    still updates predictors and the PBS engine but models no
+ *    timing, and runs on the functional engine's superblock executor
+ *    with the predictor and PBS notes as its branch observer).
  *  - Legacy: the cpu::Core interpreting the isa::Program directly
  *    (ExecPath::LegacyProgram), the differential-testing reference
  *    for both fidelities.

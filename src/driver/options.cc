@@ -2,54 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
+#include "util/cli.hh"
+
 namespace pbs::driver {
-
-int
-takeOptionValue(const std::vector<std::string> &args, size_t &i,
-                const char *key, std::string &value)
-{
-    const std::string &arg = args[i];
-    const std::string prefix = std::string(key) + "=";
-    if (arg.rfind(prefix, 0) == 0) {
-        value = arg.substr(prefix.size());
-        return 1;
-    }
-    if (arg != key)
-        return 0;
-    if (i + 1 >= args.size())
-        return -1;
-    value = args[++i];
-    return 1;
-}
-
-bool
-parseU64Arg(const std::string &s, uint64_t &out)
-{
-    // Reject signs ourselves: strtoull silently wraps "-1".
-    if (s.empty() || s[0] == '-' || s[0] == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(s.c_str(), &end, 0);
-    if (errno == ERANGE || end == nullptr || *end != '\0')
-        return false;
-    out = v;
-    return true;
-}
-
-bool
-parseUnsignedArg(const std::string &s, unsigned &out)
-{
-    uint64_t v;
-    if (!parseU64Arg(s, v) || v > 0xffffffffull)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
 
 std::string
 canonicalPredictor(const std::string &name)
@@ -112,7 +69,7 @@ parseArgs(const std::vector<std::string> &args)
     size_t i = 0;
     std::string v;
     auto takeValue = [&](const std::string &, const char *key) {
-        return takeOptionValue(args, i, key, v);
+        return util::takeOptionValue(args, i, key, v);
     };
 
     for (i = 0; i < args.size(); i++) {
@@ -129,10 +86,6 @@ parseArgs(const std::vector<std::string> &args)
             o.pbs = false;
         } else if (arg == "--wide") {
             o.wide = true;
-        } else if (arg == "--functional") {
-            o.functional = true;
-        } else if (arg == "--timing") {
-            o.functional = false;
         } else if (arg == "--no-stall") {
             o.noStall = true;
         } else if (arg == "--no-context") {
@@ -141,29 +94,9 @@ parseArgs(const std::vector<std::string> &args)
             o.noGuard = true;
         } else if (arg == "--prob-trace") {
             o.probTrace = true;
-        } else if ((m = takeValue(arg, "--trace")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--trace needs an output file (the span "
-                            "timeline; --prob-trace records the "
-                            "probabilistic-branch trace)");
-            o.traceFile = v;
-        } else if ((m = takeValue(arg, "--metrics")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs an output file");
-            o.metricsFile = v;
-        } else if ((m = takeValue(arg, "--manifest")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs an output file");
-            o.manifestFile = v;
-        } else if ((m = takeValue(arg, "--telemetry")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs an output file");
-            o.telemetryFile = v;
-        } else if ((m = takeValue(arg, "--telemetry-interval")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.telemetryIntervalMs) ||
-                o.telemetryIntervalMs == 0) {
-                return fail("bad --telemetry-interval value (ms, >= 1)");
-            }
+        } else if ((m = takeObsFlag(args, i, o.obs, r.error)) != 0) {
+            if (m < 0)
+                return fail(r.error);
         } else if ((m = takeValue(arg, "--workload")) != 0 ||
                    (m = takeValue(arg, "--benchmark")) != 0) {
             if (m < 0)
@@ -181,58 +114,34 @@ parseArgs(const std::vector<std::string> &args)
             if (m < 0)
                 return fail(arg + " needs a value");
             if (v == "mpki") {
-                // Alias: the old predictor-functional fidelity.
+                // The predictor-functional fidelity on the detailed core.
                 o.mode = "detailed";
                 o.functional = true;
             } else if (v == "detailed" || v == "legacy" ||
                        v == "functional" || v == "sampled") {
                 o.mode = v;
+                o.functional = false;
             } else {
                 return fail("unknown mode: " + v + " (expected "
                             "detailed, legacy, functional, sampled "
                             "or mpki)");
             }
         } else if ((m = takeValue(arg, "--sample-interval")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.sampleInterval) ||
+            if (m < 0 || !util::parseU64Arg(v, o.sampleInterval) ||
                 o.sampleInterval == 0) {
                 return fail("bad --sample-interval value");
             }
         } else if ((m = takeValue(arg, "--sample-warmup")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.sampleWarmup))
+            if (m < 0 || !util::parseU64Arg(v, o.sampleWarmup))
                 return fail("bad --sample-warmup value");
         } else if ((m = takeValue(arg, "--sample-measure")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.sampleMeasure) ||
+            if (m < 0 || !util::parseU64Arg(v, o.sampleMeasure) ||
                 o.sampleMeasure == 0) {
                 return fail("bad --sample-measure value");
             }
         } else if ((m = takeValue(arg, "--sample-max")) != 0) {
-            if (m < 0 || !parseU64Arg(v, o.sampleMax))
+            if (m < 0 || !util::parseU64Arg(v, o.sampleMax))
                 return fail("bad --sample-max value");
-        } else if ((m = takeValue(arg, "--save-checkpoints")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs a directory");
-            o.saveCheckpoints = v;
-        } else if ((m = takeValue(arg, "--load-checkpoints")) != 0) {
-            if (m < 0 || v.empty())
-                return fail(arg + " needs a directory");
-            o.loadCheckpoints = v;
-        } else if ((m = takeValue(arg, "--shard")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            const size_t slash = v.find('/');
-            uint64_t k = 0, n = 0;
-            if (slash == std::string::npos ||
-                !parseU64Arg(v.substr(0, slash), k) ||
-                !parseU64Arg(v.substr(slash + 1), n)) {
-                return fail("bad --shard value: " + v +
-                            " (expected K/N, e.g. 1/2)");
-            }
-            if (n == 0 || k == 0 || k > n || n > 0xffffffffull) {
-                return fail("--shard index out of range: " + v +
-                            " (need 1 <= K <= N)");
-            }
-            o.shardIndex = unsigned(k);
-            o.shardCount = unsigned(n);
         } else if ((m = takeValue(arg, "--variant")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
@@ -247,27 +156,27 @@ parseArgs(const std::vector<std::string> &args)
         } else if ((m = takeValue(arg, "--scale")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!parseU64Arg(v, o.scale))
+            if (!util::parseU64Arg(v, o.scale))
                 return fail("bad --scale value: " + v);
         } else if ((m = takeValue(arg, "--div")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!parseUnsignedArg(v, o.divisor) || o.divisor == 0)
+            if (!util::parseUnsignedArg(v, o.divisor) || o.divisor == 0)
                 return fail("bad --div value: " + v);
         } else if ((m = takeValue(arg, "--seed")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!parseU64Arg(v, o.seed))
+            if (!util::parseU64Arg(v, o.seed))
                 return fail("bad --seed value: " + v);
         } else if ((m = takeValue(arg, "--seeds")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!parseUnsignedArg(v, o.seeds) || o.seeds == 0)
+            if (!util::parseUnsignedArg(v, o.seeds) || o.seeds == 0)
                 return fail("bad --seeds value: " + v);
         } else if ((m = takeValue(arg, "--jobs")) != 0) {
             if (m < 0)
                 return fail(arg + " needs a value");
-            if (!parseUnsignedArg(v, o.jobs) || o.jobs == 0)
+            if (!util::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
                 return fail("bad --jobs value: " + v);
         } else if ((m = takeValue(arg, "--format")) != 0) {
             if (m < 0)
@@ -297,10 +206,6 @@ parseArgs(const std::vector<std::string> &args)
     if (!o.report.empty() && !o.workload.empty())
         return fail("--workload and --report are mutually exclusive");
 
-    if (o.functional && o.mode != "detailed") {
-        return fail("--functional (the mpki fidelity) only applies to "
-                    "--mode detailed");
-    }
     if (o.pbs && o.mode == "functional") {
         return fail("--mode functional executes architecturally only "
                     "(PBS-off semantics); drop --pbs or use --mode "
@@ -313,37 +218,6 @@ parseArgs(const std::vector<std::string> &args)
     }
     if (o.mode == "sampled" && o.probTrace)
         return fail("--prob-trace is not available in sampled mode");
-
-    const bool store = !o.saveCheckpoints.empty() ||
-                       !o.loadCheckpoints.empty() || o.shardCount;
-    if (store) {
-        if (o.mode != "sampled") {
-            return fail("--save-checkpoints/--load-checkpoints/--shard "
-                        "require --mode sampled");
-        }
-        if (!o.report.empty())
-            return fail("checkpoint-store options apply to --workload "
-                        "runs, not reports");
-        if (o.seeds != 1) {
-            return fail("checkpoint sets are per-seed; use --seeds 1 "
-                        "(run one set per seed)");
-        }
-        if (!o.saveCheckpoints.empty() && !o.loadCheckpoints.empty()) {
-            return fail("--save-checkpoints and --load-checkpoints are "
-                        "mutually exclusive (save captures a fresh "
-                        "set)");
-        }
-    }
-    if (o.shardCount) {
-        if (o.loadCheckpoints.empty()) {
-            return fail("--shard needs --load-checkpoints (shards claim "
-                        "slices of a persisted set)");
-        }
-        if (o.format != "json") {
-            return fail("--shard emits a pbs-shard-v1 partial result; "
-                        "use --format json");
-        }
-    }
 
     if (o.report.empty()) {
         const std::string canon = canonicalPredictor(o.predictor);
@@ -384,41 +258,17 @@ usageText()
         "  --mode <m>           detailed (default) | legacy |\n"
         "                       functional | sampled | mpki\n"
         "                       (see README \"Simulation modes\")\n"
-        "  --functional         alias for --mode mpki (predictor/PBS\n"
-        "                       updates without timing; MPKI sweeps)\n"
-        "  --timing             undo --functional (timing fidelity)\n"
         "  --sample-interval <n>  sampled: insts between measurements\n"
         "  --sample-warmup <n>    sampled: detailed warmup per sample\n"
         "  --sample-measure <n>   sampled: measured insts per sample\n"
         "  --sample-max <n>       sampled: cap on measured samples\n"
-        "  --save-checkpoints <dir>  sampled: persist the checkpoint\n"
-        "                       set for cross-process fan-out\n"
-        "  --load-checkpoints <dir>  sampled: replay from a persisted\n"
-        "                       set instead of fast-forwarding\n"
-        "  --shard <k/n>        sampled: claim shard k of n over the\n"
-        "                       loaded set and emit a pbs-shard-v1\n"
-        "                       partial result (merge the parts with\n"
-        "                       pbs_exp --merge); needs --format json\n"
         "  --variant <v>        marked | predicated | cfd\n"
         "  --scale <n>          iteration count (0 = workload default)\n"
         "  --div <n>            divide the default scale by n\n"
         "  --prob-trace         record the probabilistic-branch trace\n"
         "\n"
         "Observability (docs/observability.md):\n"
-        "  --trace <file>       write a pbs-trace-v1 span timeline\n"
-        "                       (Chrome trace-event JSON; load in\n"
-        "                       Perfetto or chrome://tracing)\n"
-        "  --metrics <file>     write a pbs-metrics-v1 snapshot\n"
-        "                       (counters, per-phase wall time,\n"
-        "                       per-worker utilization)\n"
-        "  --manifest <file>    write a pbs-run-v1 run manifest (argv,\n"
-        "                       code salt, FNV-128 hash of every\n"
-        "                       artifact this run wrote)\n"
-        "  --telemetry <file>   append pbs-timeseries-v1 samples\n"
-        "                       (counters, pool stats, RSS) while the\n"
-        "                       run is in flight\n"
-        "  --telemetry-interval <ms>  sampler tick period\n"
-        "                       (default 1000)\n"
+       << obsUsageText() <<
         "\n"
         "Batch options:\n"
         "  --seed <n>           first seed (default 12345)\n"

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cpu/core_config.hh"
+#include "driver/frontend.hh"
 #include "workloads/common.hh"
 
 namespace pbs::driver {
@@ -36,12 +37,12 @@ struct DriverOptions
 
     /**
      * Execution mode: detailed | legacy | functional | sampled (the
-     * CLI also accepts "mpki" as an alias that sets `functional`).
+     * CLI's "--mode mpki" selects detailed plus `functional`).
      */
     std::string mode = "detailed";
 
     /** The mpki fidelity: SimMode::Functional on the detailed core
-     *  (predictor/PBS updates without timing; `--functional`). */
+     *  (predictor/PBS updates without timing; `--mode mpki`). */
     bool functional = false;
     bool pbs = false;                ///< Probabilistic Branch Support
     bool noStall = false;            ///< pbs.stallOnBusy = false
@@ -54,21 +55,6 @@ struct DriverOptions
     uint64_t sampleWarmup = 0;       ///< detailed warmup per sample
     uint64_t sampleMeasure = 0;      ///< measured insts per sample
     uint64_t sampleMax = 0;          ///< cap on samples (0 = all)
-
-    // Persistent checkpoint store (mode == "sampled", single seed;
-    // see docs/sampling.md for the on-disk format).
-    std::string saveCheckpoints;     ///< capture and persist a set here
-    std::string loadCheckpoints;     ///< replay from the set stored here
-    unsigned shardIndex = 0;         ///< 1-based shard (--shard K/N)
-    unsigned shardCount = 0;         ///< total shards (0 = no sharding)
-
-    /**
-     * Code-version salt baked into checkpoint-set keys. The pbs_sim
-     * binary fills this with exp::versionSalt() before dispatching, so
-     * a set captured by different code is rejected at load. Tests may
-     * set their own value (it is just a string compared on load).
-     */
-    std::string storeSalt;
 
     // Workload parameters.
     workloads::Variant variant = workloads::Variant::Marked;
@@ -83,12 +69,7 @@ struct DriverOptions
     // Output control.
     std::string format = "text";     ///< "text" | "json" (batch runs)
 
-    // Observability artifacts (src/obs; empty = collector disabled).
-    std::string traceFile;           ///< pbs-trace-v1 span timeline
-    std::string metricsFile;         ///< pbs-metrics-v1 snapshot
-    std::string manifestFile;        ///< pbs-run-v1 run manifest
-    std::string telemetryFile;       ///< pbs-timeseries-v1 sampler
-    uint64_t telemetryIntervalMs = 1000;  ///< sampler tick period
+    ObsFlags obs;                    ///< observability artifacts
 };
 
 /** Outcome of parsing an argv vector. */
@@ -98,21 +79,6 @@ struct ParseResult
     std::string error;               ///< set when !ok (may be empty)
     DriverOptions opts;
 };
-
-/**
- * Scan "--key value" / "--key=value" at position @p i of @p args.
- * @return 1 = matched (@p value filled; @p i advanced past a separate
- *         value argument), 0 = a different option, -1 = the key is
- *         present but missing its value.
- */
-int takeOptionValue(const std::vector<std::string> &args, size_t &i,
-                    const char *key, std::string &value);
-
-/** Parse an unsigned 64-bit option value (rejects signs and junk). */
-bool parseU64Arg(const std::string &s, uint64_t &out);
-
-/** Parse an unsigned 32-bit option value. */
-bool parseUnsignedArg(const std::string &s, unsigned &out);
 
 /** Parse `pbs_sim` arguments (argv[0] is skipped). */
 ParseResult parseArgs(int argc, const char *const *argv);

@@ -10,53 +10,18 @@
 #include <cstdio>
 #include <exception>
 
+#include "driver/frontend.hh"
 #include "driver/options.hh"
 #include "driver/reports.hh"
 #include "driver/runner.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
-#include "exp/merge.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
-#include "obs/obs.hh"
 #include "obs/telemetry.hh"
-#include "util/task_pool.hh"
 
 namespace {
 
 using namespace pbs;
-
-/** Write the requested observability artifacts (after the run). */
-void
-writeObsArtifacts(const driver::DriverOptions &opts)
-{
-    pool::recordPoolMetrics();
-    // Stop the sampler before the manifest goes out: its final sample
-    // must be on disk (and registered) for the artifact list to be
-    // complete.
-    obs::telemetryStop();
-    if (!opts.traceFile.empty() && !obs::writeTrace(opts.traceFile))
-        std::fprintf(stderr, "pbs_sim: warning: cannot write trace %s\n",
-                     opts.traceFile.c_str());
-    if (!opts.metricsFile.empty() &&
-        !obs::writeMetrics(opts.metricsFile)) {
-        std::fprintf(stderr,
-                     "pbs_sim: warning: cannot write metrics %s\n",
-                     opts.metricsFile.c_str());
-    }
-    if (!opts.manifestFile.empty()) {
-        obs::manifestSetSalt(opts.storeSalt);
-        obs::manifestSetJobs(pool::TaskPool::instance().jobs());
-        obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
-                                       pool::Policy::Static
-                                   ? "static"
-                                   : "steal");
-        if (!obs::writeManifest(opts.manifestFile))
-            std::fprintf(stderr,
-                         "pbs_sim: warning: cannot write manifest %s\n",
-                         opts.manifestFile.c_str());
-    }
-}
 
 void
 printLists()
@@ -86,10 +51,7 @@ main(int argc, char **argv)
                      driver::usageText().c_str());
         return 2;
     }
-    driver::DriverOptions opts = parsed.opts;
-    // Checkpoint-set keys carry the same code-version salt as the
-    // experiment cache, so stale sets are rejected, never replayed.
-    opts.storeSalt = exp::versionSalt();
+    const driver::DriverOptions &opts = parsed.opts;
 
     if (opts.help) {
         std::printf("%s", driver::usageText().c_str());
@@ -100,28 +62,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    obs::Options obsOpts;
-    obsOpts.trace = !opts.traceFile.empty();
-    obsOpts.metrics = !opts.metricsFile.empty();
-    if (obsOpts.trace || obsOpts.metrics)
-        obs::enable(obsOpts);
-    if (!opts.manifestFile.empty())
-        obs::manifestEnable();
-    if (!opts.telemetryFile.empty() &&
-        !obs::telemetryStart(opts.telemetryFile,
-                             opts.telemetryIntervalMs)) {
-        std::fprintf(stderr,
-                     "pbs_sim: warning: cannot write telemetry %s\n",
-                     opts.telemetryFile.c_str());
-    }
+    driver::startObs("pbs_sim", opts.obs);
 
     try {
         int rc;
         if (!opts.report.empty()) {
             rc = driver::runReport(opts.report, opts.divisor, opts.jobs);
-        } else if (opts.shardCount) {
-            std::printf("%s", exp::runShard(opts).c_str());
-            rc = 0;
         } else if (opts.format == "json") {
             auto results = driver::runBatch(opts);
             std::printf("%s", exp::batchJson(opts, results).c_str());
@@ -129,7 +75,7 @@ main(int argc, char **argv)
         } else {
             rc = driver::runWorkload(opts);
         }
-        writeObsArtifacts(opts);
+        driver::finishObs("pbs_sim", opts.obs, exp::versionSalt());
         return rc;
     } catch (const std::exception &e) {
         // Join the sampler before static destruction tears down its

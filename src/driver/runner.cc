@@ -51,68 +51,6 @@ runSim(const workloads::BenchmarkDesc &b,
     return r;
 }
 
-const char *
-variantOptionName(workloads::Variant v)
-{
-    switch (v) {
-      case workloads::Variant::Predicated: return "predicated";
-      case workloads::Variant::Cfd: return "cfd";
-      default: return "marked";
-    }
-}
-
-sampling::StoreKey
-checkpointStoreKey(const DriverOptions &opts)
-{
-    const cpu::CoreConfig cfg = coreConfig(opts);
-    sampling::StoreKey key;
-    key.workload = opts.workload;
-    key.variant = variantOptionName(opts.variant);
-    key.scale = workloadParams(opts, opts.seed).scale;
-    key.seed = opts.seed;
-    key.maxInstructions = cfg.maxInstructions;
-    key.interval = cfg.sample.interval;
-    key.warmup = cfg.sample.warmup;
-    key.maxSamples = cfg.sample.maxSamples;
-    key.salt = opts.storeSalt;
-    return key;
-}
-
-namespace {
-
-/**
- * One store-backed sampled run: capture-and-save or load, then fan out
- * and aggregate. Bit-identical to the store-less runSampled() path —
- * the store round trip is exact by construction.
- */
-RunResult
-runSampledStored(const workloads::BenchmarkDesc &b,
-                 const DriverOptions &opts, const cpu::CoreConfig &cfg)
-{
-    const isa::Program prog =
-        b.build(workloadParams(opts, opts.seed), opts.variant);
-
-    sampling::CheckpointSet set;
-    if (!opts.loadCheckpoints.empty()) {
-        set = sampling::loadCheckpointSet(opts.loadCheckpoints,
-                                          checkpointStoreKey(opts));
-    } else {
-        set = sampling::captureCheckpoints(prog, cfg);
-        sampling::saveCheckpointSet(opts.saveCheckpoints,
-                                    checkpointStoreKey(opts), set);
-    }
-    sampling::SampledRun s = sampling::runSampledOnSet(prog, cfg, set);
-
-    RunResult r;
-    r.stats = s.stats;
-    r.sampled = true;
-    r.estimate = s.est;
-    r.outputs = b.simOutput(s.finalState.mem);
-    return r;
-}
-
-}  // namespace
-
 std::vector<SeedResult>
 runBatch(const DriverOptions &opts)
 {
@@ -123,14 +61,6 @@ runBatch(const DriverOptions &opts)
     // Seed tasks and each seed's nested checkpoint fan-out share one
     // scheduler: no more choosing which level gets the threads.
     pool::TaskPool::instance().configure(std::max(1u, opts.jobs));
-
-    if (!opts.saveCheckpoints.empty() || !opts.loadCheckpoints.empty()) {
-        // Parse-time validation pins mode == sampled and seeds == 1.
-        std::vector<SeedResult> results(1);
-        results[0].seed = opts.seed;
-        results[0].run = runSampledStored(b, opts, cfg);
-        return results;
-    }
 
     std::vector<SeedResult> results(n);
     pool::TaskPool::instance().parallelFor(

@@ -16,7 +16,6 @@
 #include "cpu/core.hh"
 #include "driver/options.hh"
 #include "sampling/sampled.hh"
-#include "sampling/store.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 #include "workloads/common.hh"
@@ -96,22 +95,8 @@ struct SeedResult
  * Run seeds opts.seed .. opts.seed+opts.seeds-1 of opts.workload on an
  * opts.jobs-thread pool. Results are ordered by seed regardless of the
  * worker interleaving, so a batch is bit-identical across jobs counts.
- * Sampled runs with --save-checkpoints / --load-checkpoints go through
- * the persistent checkpoint store (single seed, enforced at parse
- * time) and are bit-identical to store-less runs.
  */
 std::vector<SeedResult> runBatch(const DriverOptions &opts);
-
-/** The canonical spelling of a workload variant. */
-const char *variantOptionName(workloads::Variant v);
-
-/**
- * The persistent-store key a sampled options set describes: workload
- * identity, resolved scale, seed, instruction cap, capture-shaping
- * sampling parameters, and opts.storeSalt. Only meaningful for
- * mode == "sampled" with a single seed.
- */
-sampling::StoreKey checkpointStoreKey(const DriverOptions &opts);
 
 /** Render the per-seed + aggregate table `pbs_sim` prints for a batch. */
 std::string formatBatch(const DriverOptions &opts,

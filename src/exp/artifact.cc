@@ -40,6 +40,54 @@ writeEntry(JsonWriter &w, const ExpPoint &pt, const Measurement &m)
     w.endObject();
 }
 
+void
+writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts)
+{
+    w.beginObject();
+    w.key("workload").value(opts.workload);
+    w.key("predictor").value(opts.predictor);
+    w.key("variant").value(variantName(opts.variant));
+    w.key("wide").value(opts.wide);
+    w.key("mode").value(opts.mode);
+    w.key("functional").value(opts.functional);
+    w.key("pbs").value(opts.pbs);
+    if (opts.mode == "sampled") {
+        // Echo the *effective* parameters (defaults resolved), so the
+        // run is reproducible from the artifact alone.
+        const cpu::SampleParams sp = driver::coreConfig(opts).sample;
+        w.key("sample_interval").value(sp.interval);
+        w.key("sample_warmup").value(sp.warmup);
+        w.key("sample_measure").value(sp.measure);
+        w.key("sample_max").value(sp.maxSamples);
+        if (opts.seeds == 1) {
+            // The checkpoint set this run corresponds to: the
+            // `ckpt/<hash>/` directory a campaign over the same point
+            // persists. An ExpPoint has no sample cap, so that one
+            // capture-shaping field comes from the options.
+            ExpPoint pt;
+            pt.workload = opts.workload;
+            pt.variant = variantName(opts.variant);
+            pt.mode = opts.mode;
+            pt.sampleInterval = opts.sampleInterval;
+            pt.sampleWarmup = opts.sampleWarmup;
+            pt.scale = driver::workloadParams(opts, opts.seed).scale;
+            pt.seed = opts.seed;
+            sampling::StoreKey key = checkpointStoreKey(pt, versionSalt());
+            key.maxSamples = sp.maxSamples;
+            w.key("ckpt_set").value(sampling::storeSetHash(key));
+        }
+    }
+    w.key("stall").value(!opts.noStall);
+    w.key("context").value(!opts.noContext);
+    w.key("guard").value(!opts.noGuard);
+    // The effective per-run iteration count (0/"default" resolved).
+    w.key("scale").value(driver::workloadParams(opts, opts.seed).scale);
+    w.key("div").value(opts.divisor);
+    w.key("seed").value(opts.seed);
+    w.key("seeds").value(opts.seeds);
+    w.endObject();
+}
+
 }  // namespace
 
 std::string
@@ -128,44 +176,6 @@ sweepCsv(const std::vector<ExpPoint> &points, Engine &engine)
         }
     }
     return out;
-}
-
-void
-writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts)
-{
-    w.beginObject();
-    w.key("workload").value(opts.workload);
-    w.key("predictor").value(opts.predictor);
-    w.key("variant").value(variantName(opts.variant));
-    w.key("wide").value(opts.wide);
-    w.key("mode").value(opts.mode);
-    w.key("functional").value(opts.functional);
-    w.key("pbs").value(opts.pbs);
-    if (opts.mode == "sampled") {
-        // Echo the *effective* parameters (defaults resolved), so the
-        // run is reproducible from the artifact alone.
-        const cpu::SampleParams sp = driver::coreConfig(opts).sample;
-        w.key("sample_interval").value(sp.interval);
-        w.key("sample_warmup").value(sp.warmup);
-        w.key("sample_measure").value(sp.measure);
-        w.key("sample_max").value(sp.maxSamples);
-        if (opts.seeds == 1) {
-            // The checkpoint-set identity this run corresponds to
-            // (what the persistent store keys on), whether or not a
-            // store was actually used.
-            w.key("ckpt_set").value(sampling::storeSetHash(
-                driver::checkpointStoreKey(opts)));
-        }
-    }
-    w.key("stall").value(!opts.noStall);
-    w.key("context").value(!opts.noContext);
-    w.key("guard").value(!opts.noGuard);
-    // The effective per-run iteration count (0/"default" resolved).
-    w.key("scale").value(driver::workloadParams(opts, opts.seed).scale);
-    w.key("div").value(opts.divisor);
-    w.key("seed").value(opts.seed);
-    w.key("seeds").value(opts.seeds);
-    w.endObject();
 }
 
 std::string

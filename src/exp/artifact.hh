@@ -40,20 +40,11 @@ std::string sweepCsv(const std::vector<ExpPoint> &points, Engine &engine);
  * (`pbs-batch-v2`): the resolved configuration plus per-seed metrics
  * (same metric schema as sweep artifacts). Single-seed sampled
  * configurations additionally carry `ckpt_set`, the content hash of
- * the checkpoint set the run corresponds to — the same identity the
- * persistent store records in its manifest, so a merged shard run and
- * a single-process run of the same configuration produce this
- * document byte-identically.
+ * the checkpoint set the run corresponds to — the `ckpt/<hash>/`
+ * directory a campaign over the same point persists.
  */
 std::string batchJson(const driver::DriverOptions &opts,
                       const std::vector<driver::SeedResult> &results);
-
-/**
- * The batch `config` object alone, exactly as batchJson embeds it.
- * Shard partial results echo it so `pbs_exp --merge` can reconstruct
- * the batch document byte-identically.
- */
-void writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts);
 
 /** Volatile run summary (counters, timings) for stdout/CI. */
 std::string runSummaryJson(const EngineCounters &counters,

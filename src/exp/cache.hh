@@ -15,7 +15,7 @@
  *  - per-interval partials (`partials/<hash>.json`): one integer
  *    IntervalSample of one sampled point at one interval index — the
  *    unit of work campaign scheduling computes, resumes, and shares
- *    with `pbs_exp --merge`;
+ *    across processes (`pbs_exp --campaign --shard K/N`);
  *  - checkpoint sets (`ckpt/<set-hash>/`): persistent PR-5 checkpoint
  *    stores (sampling/store.hh) keyed by their own salted manifest, so
  *    a campaign captures each (workload, scale, seed, interval) once
@@ -53,8 +53,7 @@ std::string cacheKey(const ExpPoint &pt);
  * The cache key of one per-interval partial: the *normalized* point
  * (effective sampling parameters), the interval index, and the current
  * salt. Normalization lets a default-parameter sweep and an explicit
- * equal-parameter sweep (or a `pbs_sim --shard` run merged through the
- * cache) share partials.
+ * equal-parameter sweep share partials.
  */
 std::string partialKey(const ExpPoint &pt, uint64_t index);
 

@@ -276,23 +276,27 @@ Engine::runAll(const std::vector<ExpPoint> &points)
             jobs.push_back({pt, std::move(key), pointCost(pt)});
         }
     }
+    auto inCampaign = [](const PendingPoint &job) {
+        return job.pt.kind == PointKind::Sim && job.pt.mode == "sampled";
+    };
+    // A slice measures sampled intervals only; the unsliced run that
+    // writes the artifact computes every other point.
+    if (cfg_.shardCount)
+        std::erase_if(jobs, [&](const PendingPoint &job) {
+            return !inCampaign(job);
+        });
     if (jobs.empty())
         return;
     armHeartbeat(jobs);
 
-    if (cfg_.campaign) {
+    if (cfg_.campaign || cfg_.shardCount) {
         // Sampled Sim points reschedule around their shared checkpoint
         // sets; everything else (detailed, functional, rand) runs on
         // the ordinary pool. Both paths land in the same memo/cache,
         // so artifacts are byte-identical either way.
         std::vector<PendingPoint> sampled, rest;
-        for (auto &job : jobs) {
-            auto &dst = (job.pt.kind == PointKind::Sim &&
-                         job.pt.mode == "sampled")
-                            ? sampled
-                            : rest;
-            dst.push_back(std::move(job));
-        }
+        for (auto &job : jobs)
+            (inCampaign(job) ? sampled : rest).push_back(std::move(job));
         runCampaign(std::move(sampled));
         runPool(std::move(rest));
         return;
@@ -369,15 +373,17 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
             b.build(pointParams(pt0), variantFromName(pt0.variant));
         const sampling::StoreKey skey = checkpointStoreKey(pt0, salt);
 
-        // Load the persisted set, else capture once and persist it.
-        // The capture config is pt0's: capture only reads the
+        // Load the persisted set (a slice reads only its own
+        // checkpoint files), else capture once and persist it. The
+        // capture config is pt0's: capture only reads the
         // StoreKey-pinned fields, which are equal across the group.
         sampling::CheckpointSet set;
         bool loaded = false;
         if (cache_.enabled()) {
             std::string err;
             loaded = sampling::tryLoadCheckpointSet(
-                cache_.checkpointSetDir(setHash), skey, set, err);
+                cache_.checkpointSetDir(setHash), skey, set, err,
+                cfg_.shardIndex, cfg_.shardCount);
         }
         if (loaded) {
             std::lock_guard<std::mutex> lock(mutex_);
@@ -421,18 +427,24 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
         }
 
         // Partial pre-pass (serial): resume every (config, interval)
-        // the cache already holds; only the gaps hit the pool. A set
-        // too small to sample (< 2 intervals) measures nothing — every
-        // configuration takes the exact-detailed fallback below, just
-        // as runSampledOnSet() would.
+        // of this run's slice the cache already holds; only the gaps
+        // hit the pool. A set too small to sample (< 2 intervals)
+        // measures nothing — every configuration takes the
+        // exact-detailed fallback below, just as runSampledOnSet()
+        // would.
         struct Task
         {
             size_t config = 0;
             size_t interval = 0;
         };
+        const std::vector<size_t> claimed =
+            intervals >= 2 ? sampling::shardIndices(intervals,
+                                                    cfg_.shardIndex,
+                                                    cfg_.shardCount)
+                           : std::vector<size_t>{};
         std::vector<Task> tasks;
-        for (size_t c = 0; intervals >= 2 && c < works.size(); c++) {
-            for (size_t i = 0; i < intervals; i++) {
+        for (size_t c = 0; c < works.size(); c++) {
+            for (size_t i : claimed) {
                 const std::string pk =
                     partialKey(works[c].job->pt, i);
                 if (cache_.loadPartial(pk, works[c].samples[i])) {
@@ -473,6 +485,13 @@ Engine::runCampaign(std::vector<PendingPoint> jobs)
                 }
             },
             "campaign");
+
+        // A slice stops at its partials: the unsliced run aggregates.
+        if (cfg_.shardCount) {
+            for (const ConfigWork &cw : works)
+                noteHeartbeat(cw.job->cost);
+            continue;
+        }
 
         // Aggregate each configuration — bit-identical to the
         // per-point runSampled() path, including the exact-detailed

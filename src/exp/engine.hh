@@ -19,6 +19,14 @@
  * content-addressed cache partials, so an interrupted campaign resumes
  * with zero re-simulation and concurrent campaigns compose through the
  * shared cache. Results are byte-identical to the per-point path.
+ *
+ * A campaign slice (EngineConfig::shardIndex/shardCount, `pbs_exp
+ * --campaign --shard K/N`) is the cross-process form: it reads only
+ * its slice of each persisted set, measures only the intervals in
+ * sampling::shardIndices(intervals, K, N) of every sampled point, and
+ * stores them as partials — nothing else. An unsliced campaign over
+ * the same grid afterwards resumes every interval from those partials
+ * and writes the artifact.
  */
 
 #ifndef PBS_EXP_ENGINE_HH
@@ -44,6 +52,14 @@ struct EngineConfig
     bool progress = false;    ///< per-point progress lines on stderr
     bool campaign = false;    ///< group sampled points by ckpt set
     bool heartbeat = false;   ///< ~1 Hz done/total + ETA summary line
+
+    /**
+     * Campaign slice K/N (1-based; shardCount 0 = unsliced). A slice
+     * only stores per-interval partials of sampled points: it writes
+     * no result entries and skips every other point.
+     */
+    unsigned shardIndex = 0;
+    unsigned shardCount = 0;
 };
 
 /** Cache/compute counters for one engine lifetime. */

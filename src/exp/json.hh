@@ -18,7 +18,6 @@ using util::JsonWriter;
 using util::canonicalDouble;
 using util::jsonEscape;
 using util::parseJson;
-using util::rewriteJson;
 
 }  // namespace pbs::exp
 

@@ -6,6 +6,7 @@
  *   pbs_exp --workloads pi,dop --predictors tournament,tage-sc-l \
  *           --pbs off,on --modes sampled --seeds 4 --csv grid.csv
  *   pbs_exp --report fig07 --div 10 --jobs 8
+ *   pbs_exp --workloads pi --modes sampled --campaign --shard 1/2
  *   pbs_exp --gc
  *
  * Sweep results are content-address-cached under .pbs-cache/ (see
@@ -16,365 +17,33 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <exception>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "driver/options.hh"
+#include "driver/frontend.hh"
 #include "driver/reports.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
+#include "exp/cli.hh"
 #include "exp/engine.hh"
-#include "exp/merge.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
 #include "obs/manifest.hh"
-#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/sink.hh"
 #include "obs/telemetry.hh"
-#include "util/task_pool.hh"
 
 namespace {
 
 using namespace pbs;
 
-struct ExpCliOptions
-{
-    std::string specFile;
-    /** Axis flags in command-line order, applied over the spec file. */
-    std::vector<std::pair<std::string, std::string>> axes;
-
-    std::string out;
-    std::string csv;
-    std::string report;
-    unsigned divisor = 1;
-    unsigned jobs = 1;
-    std::string cacheDir = exp::kDefaultCacheDir;
-    bool noCache = false;
-    bool campaign = false;
-    bool gc = false;
-    bool gcAll = false;
-    uint64_t gcGrace = exp::kDefaultGcGraceSeconds;
-    bool quiet = false;
-    bool list = false;
-    bool help = false;
-
-    bool merge = false;
-    std::vector<std::string> mergeFiles;  ///< positional, after --merge
-
-    bool pareto = false;
-    unsigned repeats = 1;                 ///< --pareto timing repeats
-
-    std::string traceFile;                ///< pbs-trace-v1 output
-    std::string metricsFile;              ///< pbs-metrics-v1 output
-    std::string manifestFile;             ///< pbs-run-v1 output
-    std::string telemetryFile;            ///< pbs-timeseries-v1 output
-    uint64_t telemetryIntervalMs = 1000;  ///< sampler tick period
-    bool progress = false;                ///< heartbeat done/total + ETA
-    bool logTimestamps = false;           ///< timestamp every sink line
-};
-
-const char *kUsage =
-    "usage: pbs_exp --spec <file> [axis flags] [output flags]\n"
-    "       pbs_exp --workloads <w1,w2,...> [axis flags] [output flags]\n"
-    "       pbs_exp --pareto --workloads <list> [axis flags] [--csv F]\n"
-    "       pbs_exp --merge <part1.json> <part2.json> ... [--out F]\n"
-    "       pbs_exp --report <name> [--div N]\n"
-    "       pbs_exp --gc [--all] [--grace <seconds>]\n"
-    "       pbs_exp --list\n"
-    "\n"
-    "Sweep axes (comma-separated lists; override the spec file):\n"
-    "  --spec <file>        key=value sweep spec (see bench/*.spec)\n"
-    "  --workloads <list>   benchmarks, or 'all'\n"
-    "  --predictors <list>  direction predictors\n"
-    "  --variants <list>    marked | predicated | cfd\n"
-    "  --widths <list>      4 | 8\n"
-    "  --modes <list>       detailed | legacy | functional | sampled |\n"
-    "                       mpki (timing = detailed; see README)\n"
-    "  --pbs <list>         off | on | no-stall | no-context | no-guard\n"
-    "  --scales <list>      explicit iteration counts\n"
-    "  --div <n>            divide each workload's default scale\n"
-    "  --seed <n>           first seed (default 12345)\n"
-    "  --seeds <n>          consecutive seeds per config (default 1)\n"
-    "  --sample-interval <n>  sampled: insts between measurements\n"
-    "  --sample-warmup <n>    sampled: detailed warmup per sample\n"
-    "  --sample-measure <n>   sampled: measured insts per sample\n"
-    "  --sample-grid <list>   sampled: interval/warmup/measure triples\n"
-    "                       (a true axis over sampled points; drives\n"
-    "                       the --pareto sweep)\n"
-    "\n"
-    "Execution and output:\n"
-    "  --jobs <n>           worker threads (default 1)\n"
-    "  --out <file>         write the JSON artifact\n"
-    "  --csv <file>         write the CSV artifact\n"
-    "  --cache-dir <dir>    result cache location (default .pbs-cache)\n"
-    "  --no-cache           disable the result cache\n"
-    "  --campaign           group sampled points by checkpoint set:\n"
-    "                       capture each (workload, variant, scale,\n"
-    "                       seed, interval) once, fan every config out\n"
-    "                       over the shared set, and resume from\n"
-    "                       per-interval cache partials\n"
-    "  --quiet              suppress per-point progress on stderr\n"
-    "  --progress           ~1 Hz heartbeat line on stderr (points\n"
-    "                       done/total + cost-model ETA; composes with\n"
-    "                       --quiet to get only the heartbeat)\n"
-    "  --log-timestamps     prefix every progress/warning line with a\n"
-    "                       UTC ISO-8601 timestamp and severity\n"
-    "  --trace <file>       write a pbs-trace-v1 span timeline (Chrome\n"
-    "                       trace-event JSON; load in Perfetto) — one\n"
-    "                       track per pool worker\n"
-    "  --metrics <file>     write a pbs-metrics-v1 snapshot (cache and\n"
-    "                       phase counters, per-worker utilization;\n"
-    "                       see docs/observability.md)\n"
-    "  --manifest <file>    write a pbs-run-v1 run manifest (argv, code\n"
-    "                       salt, FNV-128 hash of every artifact this\n"
-    "                       run wrote)\n"
-    "  --telemetry <file>   append pbs-timeseries-v1 samples (counters,\n"
-    "                       pool stats, RSS) while the run is in flight\n"
-    "  --telemetry-interval <ms>  sampler tick period (default 1000)\n"
-    "\n"
-    "Sampling fan-out and Pareto:\n"
-    "  --merge <files...>   merge pbs-shard-v1 partial results (from\n"
-    "                       pbs_sim --shard K/N) into the pbs-batch-v2\n"
-    "                       document of the equivalent single-process\n"
-    "                       run, byte-identical\n"
-    "  --pareto             error-vs-MIPS sweep over the sample grid\n"
-    "                       (sampled vs detailed reference; table to\n"
-    "                       stdout, --csv for the artifact)\n"
-    "  --repeats <n>        --pareto: wall-time repeats per point\n"
-    "\n"
-    "Maintenance and reports:\n"
-    "  --gc                 prune cache entries from other code versions\n"
-    "  --gc --all           prune the entire cache\n"
-    "  --grace <seconds>    --gc: spare anything modified this recently\n"
-    "                       (default 300; 0 prunes unconditionally)\n"
-    "  --report <name>      render a fig/table report through the\n"
-    "                       cached engine (identical output to pbs_sim)\n"
-    "  --list               list workloads, predictors, reports\n";
-
 int
 fail(const std::string &msg)
 {
-    std::fprintf(stderr, "pbs_exp: %s\n%s", msg.c_str(), kUsage);
+    std::fprintf(stderr, "pbs_exp: %s\n%s", msg.c_str(),
+                 exp::usageText().c_str());
     return 2;
-}
-
-/** @p schema tags the file in the run manifest ("" = schema-less CSV). */
-bool
-writeFileOrComplain(const std::string &path, const std::string &text,
-                    const char *schema = "")
-{
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        std::fprintf(stderr, "pbs_exp: cannot write %s\n", path.c_str());
-        return false;
-    }
-    out << text;
-    out.close();  // surface flush errors (e.g. disk full) in good()
-    if (!out.good()) {
-        std::fprintf(stderr, "pbs_exp: error writing %s\n",
-                     path.c_str());
-        return false;
-    }
-    obs::manifestAddArtifact(path, text, schema);
-    return true;
-}
-
-int
-parseCli(int argc, char **argv, ExpCliOptions &o)
-{
-    std::vector<std::string> args(argv + 1, argv + argc);
-    size_t i = 0;
-    std::string v;
-    auto takeValue = [&](const std::string &, const char *key) {
-        return driver::takeOptionValue(args, i, key, v);
-    };
-
-    // Axis flags map straight onto spec keys.
-    struct AxisFlag
-    {
-        const char *flag;
-        const char *key;
-    };
-    const AxisFlag axisFlags[] = {
-        {"--workloads", "workload"},  {"--workload", "workload"},
-        {"--predictors", "predictor"}, {"--predictor", "predictor"},
-        {"--variants", "variant"},    {"--widths", "width"},
-        {"--modes", "mode"},          {"--mode", "mode"},
-        {"--pbs", "pbs"},             {"--scales", "scale"},
-        {"--scale", "scale"},         {"--seed", "seed"},
-        {"--seeds", "seeds"},
-        {"--sample-interval", "sample-interval"},
-        {"--sample-warmup", "sample-warmup"},
-        {"--sample-measure", "sample-measure"},
-        {"--sample-grid", "sample-grid"},
-    };
-
-    for (i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        int m;
-        if (arg == "--help" || arg == "-h") {
-            o.help = true;
-            continue;
-        }
-        if (arg == "--list") {
-            o.list = true;
-            continue;
-        }
-        if (arg == "--gc") {
-            o.gc = true;
-            continue;
-        }
-        if (arg == "--merge") {
-            o.merge = true;
-            continue;
-        }
-        if (arg == "--pareto") {
-            o.pareto = true;
-            continue;
-        }
-        if ((m = takeValue(arg, "--repeats")) != 0) {
-            if (m < 0 || !driver::parseUnsignedArg(v, o.repeats) ||
-                o.repeats == 0)
-                return fail("bad --repeats value");
-            continue;
-        }
-        if (o.merge && !arg.empty() && arg[0] != '-') {
-            o.mergeFiles.push_back(arg);
-            continue;
-        }
-        if (arg == "--all") {
-            o.gcAll = true;
-            continue;
-        }
-        if (arg == "--no-cache") {
-            o.noCache = true;
-            continue;
-        }
-        if (arg == "--campaign") {
-            o.campaign = true;
-            continue;
-        }
-        if ((m = takeValue(arg, "--grace")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!driver::parseU64Arg(v, o.gcGrace))
-                return fail("bad --grace value: " + v);
-            continue;
-        }
-        if (arg == "--quiet") {
-            o.quiet = true;
-            continue;
-        }
-        if (arg == "--progress") {
-            o.progress = true;
-            continue;
-        }
-        if (arg == "--log-timestamps") {
-            o.logTimestamps = true;
-            continue;
-        }
-        if ((m = takeValue(arg, "--trace")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--trace needs an output file");
-            o.traceFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--metrics")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--metrics needs an output file");
-            o.metricsFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--manifest")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--manifest needs an output file");
-            o.manifestFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--telemetry")) != 0) {
-            if (m < 0 || v.empty())
-                return fail("--telemetry needs an output file");
-            o.telemetryFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--telemetry-interval")) != 0) {
-            if (m < 0 || !driver::parseU64Arg(v, o.telemetryIntervalMs) ||
-                o.telemetryIntervalMs == 0)
-                return fail("bad --telemetry-interval value (ms, >= 1)");
-            continue;
-        }
-        if ((m = takeValue(arg, "--spec")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.specFile = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--out")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.out = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--csv")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.csv = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--report")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.report = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--cache-dir")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.cacheDir = v;
-            continue;
-        }
-        if ((m = takeValue(arg, "--jobs")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!driver::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
-                return fail("bad --jobs value: " + v);
-            continue;
-        }
-        if ((m = takeValue(arg, "--div")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!driver::parseUnsignedArg(v, o.divisor) ||
-                o.divisor == 0) {
-                return fail("bad --div value: " + v);
-            }
-            o.axes.emplace_back("div", v);
-            continue;
-        }
-
-        bool matched = false;
-        for (const auto &axis : axisFlags) {
-            if ((m = takeValue(arg, axis.flag)) != 0) {
-                if (m < 0)
-                    return fail(arg + " needs a value");
-                // Validate eagerly so bad flags fail before any work.
-                exp::SweepSpec probe;
-                std::string err = exp::applySpecKey(probe, axis.key, v);
-                if (!err.empty())
-                    return fail(err);
-                o.axes.emplace_back(axis.key, v);
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
-            return fail("unknown option: " + arg);
-    }
-    return 0;
 }
 
 void
@@ -394,67 +63,20 @@ printLists()
                 "sample-measure sample-grid\n");
 }
 
-/**
- * Write the requested observability artifacts, folding the engine's
- * counters into the metrics registry first (when one exists).
- */
-void
-writeObsArtifacts(const ExpCliOptions &o, const exp::Engine *engine)
-{
-    if (engine)
-        exp::recordEngineMetrics(engine->counters());
-    pool::recordPoolMetrics();
-    // The sampler's final sample must be registered before the
-    // manifest hashes the artifact list, so stop it first.
-    obs::telemetryStop();
-    if (!o.traceFile.empty() && !obs::writeTrace(o.traceFile))
-        std::fprintf(stderr, "pbs_exp: warning: cannot write trace %s\n",
-                     o.traceFile.c_str());
-    if (!o.metricsFile.empty() && !obs::writeMetrics(o.metricsFile)) {
-        std::fprintf(stderr,
-                     "pbs_exp: warning: cannot write metrics %s\n",
-                     o.metricsFile.c_str());
-    }
-    if (!o.manifestFile.empty()) {
-        obs::manifestSetSalt(exp::versionSalt());
-        obs::manifestSetJobs(pool::TaskPool::instance().jobs());
-        obs::manifestSetPolicy(pool::TaskPool::instance().policy() ==
-                                       pool::Policy::Static
-                                   ? "static"
-                                   : "steal");
-        if (!obs::writeManifest(o.manifestFile))
-            std::fprintf(stderr,
-                         "pbs_exp: warning: cannot write manifest %s\n",
-                         o.manifestFile.c_str());
-    }
-}
-
-bool
-readFileOrComplain(const std::string &path, std::string &out)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "pbs_exp: cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    out = ss.str();
-    return true;
-}
-
 }  // namespace
 
 int
 main(int argc, char **argv)
 {
     obs::manifestBegin("pbs_exp", argc, argv);
-    ExpCliOptions o;
-    if (int rc = parseCli(argc, argv, o))
-        return rc;
+    exp::CliOptions o;
+    const std::string err =
+        exp::parseCli(std::vector<std::string>(argv + 1, argv + argc), o);
+    if (!err.empty())
+        return fail(err);
 
     if (o.help) {
-        std::printf("%s", kUsage);
+        std::printf("%s", exp::usageText().c_str());
         return 0;
     }
     if (o.list) {
@@ -464,21 +86,9 @@ main(int argc, char **argv)
 
     const std::string cacheDir = o.noCache ? "" : o.cacheDir;
 
-    obs::Options obsOpts;
-    obsOpts.trace = !o.traceFile.empty();
-    obsOpts.metrics = !o.metricsFile.empty();
-    if (obsOpts.trace || obsOpts.metrics)
-        obs::enable(obsOpts);
-    if (!o.manifestFile.empty())
-        obs::manifestEnable();
     if (o.logTimestamps)
         obs::setSinkTimestamps(true);
-    if (!o.telemetryFile.empty() &&
-        !obs::telemetryStart(o.telemetryFile, o.telemetryIntervalMs)) {
-        std::fprintf(stderr,
-                     "pbs_exp: warning: cannot write telemetry %s\n",
-                     o.telemetryFile.c_str());
-    }
+    driver::startObs("pbs_exp", o.obs);
 
     if (o.gc) {
         if (!o.specFile.empty() || !o.axes.empty() || !o.out.empty() ||
@@ -495,44 +105,14 @@ main(int argc, char **argv)
         return 0;
     }
 
-    if (o.merge) {
-        if (!o.specFile.empty() || !o.axes.empty() ||
-            !o.report.empty() || !o.csv.empty() || o.pareto) {
-            return fail("--merge only combines shard files (--out "
-                        "writes the merged document)");
-        }
-        if (o.mergeFiles.empty())
-            return fail("--merge needs at least one pbs-shard-v1 file");
-        std::vector<std::string> docs;
-        for (const auto &path : o.mergeFiles) {
-            std::string text;
-            if (!readFileOrComplain(path, text))
-                return 1;
-            docs.push_back(std::move(text));
-        }
-        try {
-            const exp::ResultCache cache(cacheDir);
-            const std::string merged = exp::mergeShards(docs, &cache);
-            if (!o.out.empty()) {
-                if (!writeFileOrComplain(o.out, merged, "pbs-batch-v2"))
-                    return 1;
-            } else {
-                std::printf("%s", merged.c_str());
-            }
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "pbs_exp: %s\n", e.what());
-            return 1;
-        }
-        writeObsArtifacts(o, nullptr);
-        return 0;
-    }
-
     exp::EngineConfig ecfg;
     ecfg.cacheDir = cacheDir;
     ecfg.jobs = o.jobs;
     ecfg.progress = !o.quiet;
     ecfg.campaign = o.campaign;
     ecfg.heartbeat = o.progress;
+    ecfg.shardIndex = o.shardIndex;
+    ecfg.shardCount = o.shardCount;
     exp::Engine engine(ecfg);
 
     try {
@@ -554,13 +134,14 @@ main(int argc, char **argv)
             std::fprintf(stderr, "%s",
                          exp::runSummaryJson(engine.counters(), 0, 0,
                                              "", "").c_str());
-            writeObsArtifacts(o, &engine);
+            exp::recordEngineMetrics(engine.counters());
+            driver::finishObs("pbs_exp", o.obs, exp::versionSalt());
             return rc;
         }
 
         if (o.specFile.empty() && o.axes.empty())
-            return fail("one of --spec, axis flags, --pareto, --merge, "
-                        "--report, or --gc is required");
+            return fail("one of --spec, axis flags, --pareto, --report, "
+                        "or --gc is required");
 
         exp::SweepSpec spec;
         if (!o.specFile.empty()) {
@@ -587,9 +168,10 @@ main(int argc, char **argv)
             const auto rows = exp::runParetoSweep(pcfg);
             std::printf("%s", exp::paretoTable(rows).c_str());
             if (!o.csv.empty() &&
-                !writeFileOrComplain(o.csv, exp::paretoCsv(rows)))
+                !driver::writeArtifact("pbs_exp", o.csv,
+                                       exp::paretoCsv(rows)))
                 return 1;
-            writeObsArtifacts(o, nullptr);
+            driver::finishObs("pbs_exp", o.obs, exp::versionSalt());
             return 0;
         }
 
@@ -612,12 +194,13 @@ main(int argc, char **argv)
             if (!o.out.empty()) {
                 auto text = exp::sweepJson(expanded.points, engine,
                                            exp::specJson(spec));
-                if (!writeFileOrComplain(o.out, text, "pbs-sweep-v1"))
+                if (!driver::writeArtifact("pbs_exp", o.out, text,
+                                           "pbs-sweep-v1"))
                     return 1;
             }
             if (!o.csv.empty()) {
                 auto text = exp::sweepCsv(expanded.points, engine);
-                if (!writeFileOrComplain(o.csv, text))
+                if (!driver::writeArtifact("pbs_exp", o.csv, text))
                     return 1;
             }
         }
@@ -628,7 +211,8 @@ main(int argc, char **argv)
                                         uint64_t(elapsed), o.out,
                                         o.csv)
                         .c_str());
-        writeObsArtifacts(o, &engine);
+        exp::recordEngineMetrics(engine.counters());
+        driver::finishObs("pbs_exp", o.obs, exp::versionSalt());
         return 0;
     } catch (const std::exception &e) {
         // Join the sampler before static destruction tears down its

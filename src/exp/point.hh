@@ -151,9 +151,8 @@ bool readMeasurement(const JsonValue &v, PointKind kind,
                      Measurement &out);
 
 /**
- * Canonical JSON of one per-interval sample — the shared body of
- * shard documents and cache partials (field names match pbs-shard-v1
- * sample objects, minus the index, which lives beside it).
+ * Canonical JSON of one per-interval sample — the body of a cache
+ * partial (the interval index lives beside it).
  */
 void writeIntervalSample(JsonWriter &w,
                          const sampling::IntervalSample &s);

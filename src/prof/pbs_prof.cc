@@ -15,8 +15,10 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "prof/prof.hh"
+#include "util/cli.hh"
 
 namespace {
 
@@ -79,50 +81,32 @@ writeFile(const std::string &path, const std::string &text)
     return ok;
 }
 
-/**
- * `--flag VALUE` / `--flag=VALUE` matcher (same contract as the other
- * CLIs): 0 = no match, -1 = matched but missing value, 1 = matched.
- */
-int
-takeValue(const std::string &arg, const char *flag, int argc, char **argv,
-          int &i, std::string &value)
-{
-    std::string f(flag);
-    if (arg == f) {
-        if (i + 1 >= argc)
-            return -1;
-        value = argv[++i];
-        return 1;
-    }
-    if (arg.rfind(f + "=", 0) == 0) {
-        value = arg.substr(f.size() + 1);
-        return value.empty() ? -1 : 1;
-    }
-    return 0;
-}
-
 int
 runReport(int argc, char **argv)
 {
     std::string traceFile, metricsFile, foldedFile, v;
     unsigned top = 12;
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 2, argv + argc);
+    for (size_t i = 0; i < args.size(); i++) {
+        const std::string &arg = args[i];
         int m;
-        if ((m = takeValue(arg, "--trace", argc, argv, i, v)) != 0) {
-            if (m < 0)
+        if ((m = pbs::util::takeOptionValue(args, i, "--trace", v)) != 0) {
+            if (m < 0 || v.empty())
                 return usageError("--trace needs a file");
             traceFile = v;
-        } else if ((m = takeValue(arg, "--metrics", argc, argv, i, v)) != 0) {
-            if (m < 0)
+        } else if ((m = pbs::util::takeOptionValue(args, i, "--metrics",
+                                                   v)) != 0) {
+            if (m < 0 || v.empty())
                 return usageError("--metrics needs a file");
             metricsFile = v;
-        } else if ((m = takeValue(arg, "--folded", argc, argv, i, v)) != 0) {
-            if (m < 0)
+        } else if ((m = pbs::util::takeOptionValue(args, i, "--folded",
+                                                   v)) != 0) {
+            if (m < 0 || v.empty())
                 return usageError("--folded needs a file");
             foldedFile = v;
-        } else if ((m = takeValue(arg, "--top", argc, argv, i, v)) != 0) {
-            if (m < 0)
+        } else if ((m = pbs::util::takeOptionValue(args, i, "--top",
+                                                   v)) != 0) {
+            if (m < 0 || v.empty())
                 return usageError("--top needs a count");
             top = unsigned(std::strtoul(v.c_str(), nullptr, 10));
             if (top == 0)
@@ -171,11 +155,13 @@ runDiff(int argc, char **argv)
     std::string baseFile, curFile, v;
     double maxRegress = -1;
     bool failOnDrift = false;
-    for (int i = 2; i < argc; i++) {
-        std::string arg = argv[i];
+    const std::vector<std::string> args(argv + 2, argv + argc);
+    for (size_t i = 0; i < args.size(); i++) {
+        const std::string &arg = args[i];
         int m;
-        if ((m = takeValue(arg, "--max-regress", argc, argv, i, v)) != 0) {
-            if (m < 0)
+        if ((m = pbs::util::takeOptionValue(args, i, "--max-regress",
+                                            v)) != 0) {
+            if (m < 0 || v.empty())
                 return usageError("--max-regress needs a fraction");
             maxRegress = std::strtod(v.c_str(), nullptr);
             if (maxRegress <= 0)

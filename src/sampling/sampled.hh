@@ -99,14 +99,15 @@ SampledRun runSampled(const isa::Program &prog,
 // ---------------------------------------------------------------------
 // The three phases of a sampled run, exposed individually so the
 // checkpoint store (store.hh) can persist phase 1, independent
-// processes can each run a slice of phase 2 (`pbs_sim --shard K/N`),
-// and `pbs_exp --merge` can re-run phase 3 over the concatenated
-// per-interval samples — bit-identical to a single-process run.
+// processes can each run a slice of phase 2 (`pbs_exp --campaign
+// --shard K/N`), and a later run can re-run phase 3 over the
+// per-interval samples they stored — bit-identical to a
+// single-process run.
 // ---------------------------------------------------------------------
 
 /**
- * Integer deltas of one measured interval: the unit of work a shard
- * emits and the merge step aggregates. All counters are exact, so
+ * Integer deltas of one measured interval: the unit of work a campaign
+ * slice stores and the aggregation consumes. All counters are exact, so
  * partial results from different processes combine without any
  * floating-point order sensitivity.
  */
@@ -188,8 +189,8 @@ measureIntervals(const isa::Program &prog, const cpu::CoreConfig &cfg,
  * Phase 3: ratio-estimator totals and per-interval-variance CIs over
  * @p samples, which must be ordered by interval index and cover every
  * interval exactly once (the aggregation is order-sensitive only in
- * its floating-point rounding, so a fixed order keeps merged results
- * bit-identical to single-process ones).
+ * its floating-point rounding, so a fixed order keeps results resumed
+ * from other processes bit-identical to single-process ones).
  * @return false when fewer than two samples are valid — the caller
  *         must fall back to one exact detailed run.
  */

@@ -371,10 +371,11 @@ loadCheckpointSet(const std::string &dir, const StoreKey &expect,
 
 bool
 tryLoadCheckpointSet(const std::string &dir, const StoreKey &expect,
-                     CheckpointSet &out, std::string &error)
+                     CheckpointSet &out, std::string &error,
+                     unsigned shardIndex, unsigned shardCount)
 {
     try {
-        out = loadCheckpointSet(dir, expect);
+        out = loadCheckpointSet(dir, expect, shardIndex, shardCount);
         return true;
     } catch (const std::exception &e) {
         error = e.what();

@@ -133,7 +133,9 @@ CheckpointSet loadCheckpointSet(const std::string &dir,
  * reason in @p error; @p out is untouched on failure.
  */
 bool tryLoadCheckpointSet(const std::string &dir, const StoreKey &expect,
-                          CheckpointSet &out, std::string &error);
+                          CheckpointSet &out, std::string &error,
+                          unsigned shardIndex = 0,
+                          unsigned shardCount = 0);
 
 }  // namespace pbs::sampling
 

@@ -43,7 +43,7 @@ TEST(DriverOptions, ParsesFullWorkloadInvocation)
 TEST(DriverOptions, EqualsSyntaxAndFlags)
 {
     auto r = parseArgs({"--workload=pi", "--predictor=tournament",
-                        "--pbs", "--functional", "--wide",
+                        "--pbs", "--mode=mpki", "--wide",
                         "--scale=100", "--seed=7", "--div=4",
                         "--no-stall", "--no-context", "--no-guard"});
     ASSERT_TRUE(r.ok) << r.error;
@@ -66,6 +66,9 @@ TEST(DriverOptions, RejectsUnknownWorkloadPredictorAndOption)
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--frobnicate"}).ok);
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--jobs", "0"}).ok);
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--seeds", "x"}).ok);
+    // The mpki fidelity has one spelling: --mode mpki.
+    EXPECT_FALSE(parseArgs({"--workload", "pi", "--functional"}).ok);
+    EXPECT_FALSE(parseArgs({"--workload", "pi", "--timing"}).ok);
 }
 
 TEST(DriverOptions, WorkloadAndReportAreExclusive)
@@ -116,7 +119,7 @@ TEST(DriverOptions, CoreConfigReflectsOptions)
     EXPECT_TRUE(cfg.pbs.stallOnBusy);
     EXPECT_EQ(cfg.mode, cpu::SimMode::Timing);
 
-    auto f = parseArgs({"pi", "--functional"});
+    auto f = parseArgs({"pi", "--mode", "mpki"});
     EXPECT_EQ(driver::coreConfig(f.opts).mode, cpu::SimMode::Functional);
 }
 
@@ -154,7 +157,7 @@ TEST(DriverReports, RegistryHasAllHarnesses)
 DriverOptions
 tinyBatch(unsigned seeds, unsigned jobs)
 {
-    auto r = parseArgs({"--workload", "pi", "--functional", "--pbs",
+    auto r = parseArgs({"--workload", "pi", "--mode", "mpki", "--pbs",
                         "--scale", "2000",
                         "--seeds", std::to_string(seeds),
                         "--jobs", std::to_string(jobs)});
@@ -212,7 +215,7 @@ TEST(DriverBatch, MatchesDirectHarnessRun)
 {
     // The driver's single-run stats must equal a direct runSim with the
     // equivalent config (the bench harnesses' code path).
-    auto r = parseArgs({"--workload", "pi", "--functional",
+    auto r = parseArgs({"--workload", "pi", "--mode", "mpki",
                         "--predictor", "tage_scl", "--scale", "2000"});
     ASSERT_TRUE(r.ok) << r.error;
     auto batch = driver::runBatch(r.opts);

@@ -21,9 +21,9 @@
 #include "driver/reports.hh"
 #include "exp/artifact.hh"
 #include "exp/cache.hh"
+#include "exp/cli.hh"
 #include "exp/engine.hh"
 #include "exp/json.hh"
-#include "exp/merge.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
 #include "util/task_pool.hh"
@@ -396,7 +396,7 @@ TEST_F(ExpCacheTest, ReportRendersIdenticallyColdAndWarm)
 TEST(ExpArtifact, BatchJsonCarriesConfigAndPerSeedMetrics)
 {
     auto parsed = driver::parseArgs(
-        {"--workload", "pi", "--functional", "--pbs", "--scale", "2000",
+        {"--workload", "pi", "--mode", "mpki", "--pbs", "--scale", "2000",
          "--seeds", "3", "--format", "json"});
     ASSERT_TRUE(parsed.ok) << parsed.error;
     auto results = driver::runBatch(parsed.opts);
@@ -453,108 +453,6 @@ TEST(ExpSpec, SampleGridMultipliesSampledPointsOnly)
         exp::parseSpecText("sample-grid = 1000/900/200\n").ok);
 }
 
-// --- shard partial results and their merge ---------------------------
-
-/**
- * The cross-process fan-out contract end to end, in-process: save a
- * checkpoint set, run both shards, merge, and require the merged
- * document byte-identical to the single-process batch document.
- */
-class ShardMergeTest : public ExpCacheTest
-{
-  protected:
-    static constexpr const char *kSalt = "shard-test-salt/r1/s1";
-
-    driver::DriverOptions
-    baseOpts(std::initializer_list<std::string> extra) const
-    {
-        std::vector<std::string> args = {
-            "--workload", "pi", "--mode", "sampled", "--div", "20",
-            "--seed", "5", "--sample-interval", "40000",
-            "--sample-warmup", "10000", "--sample-measure", "5000",
-            "--format", "json"};
-        args.insert(args.end(), extra);
-        auto parsed = driver::parseArgs(args);
-        EXPECT_TRUE(parsed.ok) << parsed.error;
-        driver::DriverOptions opts = parsed.opts;
-        opts.storeSalt = kSalt;
-        return opts;
-    }
-};
-
-TEST_F(ShardMergeTest, MergedShardsAreByteIdenticalToSingleProcess)
-{
-    // Single process, saving the set as a side effect.
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    const std::string single =
-        exp::batchJson(saveOpts, driver::runBatch(saveOpts));
-
-    // Two independent "processes" claim complementary slices.
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    exp::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(exp::parseJson(part1, v, err)) << err;
-    EXPECT_EQ(v.find("schema")->asString(), "pbs-shard-v1");
-    EXPECT_GT(v.find("samples")->items.size(), 0u);
-
-    const std::string merged = exp::mergeShards({part1, part2});
-    EXPECT_EQ(merged, single);
-
-    // Shard order must not matter.
-    EXPECT_EQ(exp::mergeShards({part2, part1}), single);
-
-    // The single-process document carries the set identity the
-    // shards measured against.
-    ASSERT_TRUE(exp::parseJson(single, v, err)) << err;
-    ASSERT_NE(v.find("config")->find("ckpt_set"), nullptr);
-    EXPECT_EQ(v.find("config")->find("ckpt_set")->asString(),
-              sampling::storeSetHash(
-                  driver::checkpointStoreKey(saveOpts)));
-}
-
-TEST_F(ShardMergeTest, MergeRejectsOverlapGapsAndForeignShards)
-{
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    driver::runBatch(saveOpts);
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    auto failure = [](std::vector<std::string> docs) {
-        try {
-            exp::mergeShards(docs);
-        } catch (const std::runtime_error &e) {
-            return std::string(e.what());
-        }
-        return std::string();
-    };
-
-    // The same shard twice overlaps; a lone shard leaves gaps.
-    EXPECT_NE(failure({part1, part1}).find("overlapping"),
-              std::string::npos);
-    EXPECT_NE(failure({part1}).find("missing"), std::string::npos);
-    EXPECT_NE(failure({}).find("no shard"), std::string::npos);
-
-    // A shard from a different checkpoint set is refused.
-    std::string foreign = part2;
-    const size_t at = foreign.find("\"set_hash\":\"");
-    ASSERT_NE(at, std::string::npos);
-    foreign[at + 12] = foreign[at + 12] == '0' ? '1' : '0';
-    EXPECT_NE(failure({part1, foreign}).find("different checkpoint"),
-              std::string::npos);
-
-    // Junk input is named, not crashed on.
-    EXPECT_NE(failure({part1, "{not json"}).find("not valid JSON"),
-              std::string::npos);
-    EXPECT_NE(failure({part1, "{}"}).find("shard result"),
-              std::string::npos);
-}
-
 // --- campaign mode ---------------------------------------------------
 
 /** A fig07-style predictor x PBS grid over one sampled workload. */
@@ -590,6 +488,29 @@ class CampaignTest : public ExpCacheTest
         engine.runAll(points);
         return {exp::sweepJson(points, engine, ""),
                 engine.counters()};
+    }
+
+    /** Run campaign slice k/n of the grid against the test cache. */
+    exp::EngineCounters
+    runSlice(const std::vector<exp::ExpPoint> &points, unsigned k,
+             unsigned n)
+    {
+        exp::EngineConfig cfg;
+        cfg.cacheDir = cacheDir();
+        cfg.jobs = 2;
+        cfg.campaign = true;
+        cfg.shardIndex = k;
+        cfg.shardCount = n;
+        exp::Engine engine(cfg);
+        engine.runAll(points);
+        return engine.counters();
+    }
+
+    /** Intervals x configs: what an unsliced campaign measures. */
+    uint64_t
+    totalIntervals(const std::vector<exp::ExpPoint> &points)
+    {
+        return run(points, true, "").second.partialComputed;
     }
 };
 
@@ -753,6 +674,118 @@ TEST_F(CampaignTest, ResumeSurvivesStealJitter)
     EXPECT_EQ(c.partialComputed, dropped);
 }
 
+// --- campaign slices: the cross-process fan-out ---------------------
+
+TEST_F(CampaignTest, SlicesAreDisjointAndTheRerunResumesEverything)
+{
+    const auto points = grid();
+    const auto [reference, refCounters] = run(points, false, "");
+    const uint64_t total = totalIntervals(points);
+    ASSERT_GT(total, points.size());
+
+    // Three "processes" each measure one slice against one cache. A
+    // slice overlapping an earlier one would see its partials as hits.
+    uint64_t sliced = 0;
+    for (unsigned k = 1; k <= 3; k++) {
+        const exp::EngineCounters c = runSlice(points, k, 3);
+        EXPECT_EQ(c.partialHits, 0u) << "slice " << k << " overlaps";
+        EXPECT_GT(c.partialComputed, 0u);
+        EXPECT_EQ(c.partialStored, c.partialComputed);
+        EXPECT_EQ(c.computed, 0u) << "a slice computes no results";
+        EXPECT_EQ(c.stored, 0u) << "a slice writes no result entries";
+        EXPECT_EQ(c.captures, k == 1 ? 1u : 0u)
+            << "later slices load the set the first one persisted";
+        sliced += c.partialComputed;
+    }
+    EXPECT_EQ(sliced, total) << "the slices cover every interval";
+
+    // The unsliced rerun resumes every interval from the partials and
+    // writes the same artifact as the per-point, cache-less path.
+    const auto [artifact, c] = run(points, true, cacheDir());
+    EXPECT_EQ(artifact, reference);
+    EXPECT_EQ(c.partialComputed, 0u);
+    EXPECT_EQ(c.captures, 0u);
+    EXPECT_EQ(c.partialHits, total);
+    EXPECT_EQ(c.computed, points.size());
+}
+
+TEST_F(CampaignTest, RerunAfterOneSliceComputesTheComplement)
+{
+    const auto points = grid();
+    const auto [reference, refCounters] = run(points, false, "");
+    const uint64_t total = totalIntervals(points);
+
+    const exp::EngineCounters half = runSlice(points, 1, 2);
+    ASSERT_GT(half.partialComputed, 0u);
+    ASSERT_LT(half.partialComputed, total);
+
+    const auto [artifact, c] = run(points, true, cacheDir());
+    EXPECT_EQ(artifact, reference);
+    EXPECT_EQ(c.partialHits, half.partialComputed);
+    EXPECT_EQ(c.partialComputed, total - half.partialComputed);
+    EXPECT_EQ(c.captures, 0u);
+}
+
+TEST_F(CampaignTest, BatchCkptSetNamesTheCampaignSetDirectory)
+{
+    // pbs_sim's pbs-batch-v2 document and a campaign over the same
+    // point must agree on the checkpoint set's identity.
+    auto parsed = driver::parseArgs(
+        {"--workload", "pi", "--mode", "sampled", "--div", "20",
+         "--sample-interval", "40000", "--sample-warmup", "10000",
+         "--sample-measure", "5000", "--format", "json"});
+    ASSERT_TRUE(parsed.ok) << parsed.error;
+    const std::string batch =
+        exp::batchJson(parsed.opts, driver::runBatch(parsed.opts));
+    exp::JsonValue v;
+    std::string err;
+    ASSERT_TRUE(exp::parseJson(batch, v, err)) << err;
+    const exp::JsonValue *ckptSet = v.find("config")->find("ckpt_set");
+    ASSERT_NE(ckptSet, nullptr);
+
+    run(grid(), true, cacheDir());
+    std::vector<std::string> sets;
+    for (const auto &e :
+         fs::directory_iterator(fs::path(cacheDir()) / "ckpt"))
+        sets.push_back(e.path().filename().string());
+    ASSERT_EQ(sets.size(), 1u);
+    EXPECT_EQ(sets[0], ckptSet->asString());
+}
+
+TEST(ExpCli, ShardFlagValidation)
+{
+    auto parse = [](std::vector<std::string> extra,
+                    exp::CliOptions &o) {
+        std::vector<std::string> args = {"--workloads", "pi",
+                                         "--modes", "sampled"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        return exp::parseCli(args, o);
+    };
+
+    exp::CliOptions ok;
+    ASSERT_EQ(parse({"--campaign", "--shard", "2/4"}, ok), "");
+    EXPECT_EQ(ok.shardIndex, 2u);
+    EXPECT_EQ(ok.shardCount, 4u);
+
+    // Out-of-range and malformed slice specs.
+    for (const char *bad : {"0/2", "3/2", "2", "a/b", "1/0"}) {
+        exp::CliOptions o;
+        EXPECT_NE(parse({"--campaign", "--shard", bad}, o), "") << bad;
+    }
+
+    // A slice needs a campaign and the cache, and writes no artifact.
+    const std::vector<std::vector<std::string>> conflicts = {
+        {"--shard", "1/2"},
+        {"--campaign", "--shard", "1/2", "--no-cache"},
+        {"--campaign", "--shard", "1/2", "--out", "r.json"},
+        {"--campaign", "--shard", "1/2", "--csv", "r.csv"},
+    };
+    for (const auto &extra : conflicts) {
+        exp::CliOptions o;
+        EXPECT_NE(parse(extra, o), "") << extra.back();
+    }
+}
+
 TEST_F(ExpCacheTest, PointCostReflectsSampleParameters)
 {
     exp::ExpPoint detailed;
@@ -889,90 +922,6 @@ TEST_F(ExpCacheTest, PublishNeverWritesThroughAForeignTemp)
     EXPECT_FALSE(fs::exists(set / "manifest.json.4242.1.tmp"));
     EXPECT_TRUE(fs::exists(set / "manifest.json"));
     EXPECT_TRUE(cache.load(key, pt.kind, loaded));
-}
-
-TEST_F(ShardMergeTest, MergeThroughCacheStoresAndFillsFromPartials)
-{
-    auto saveOpts = baseOpts({"--save-checkpoints", cacheDir()});
-    const std::string single =
-        exp::batchJson(saveOpts, driver::runBatch(saveOpts));
-    const std::string part1 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "1/2"}));
-    const std::string part2 = exp::runShard(
-        baseOpts({"--load-checkpoints", cacheDir(), "--shard", "2/2"}));
-
-    // Through the cache: same bytes as the cache-less merge, plus
-    // every per-interval sample persisted as a partial and the merged
-    // measurement stored as an ordinary result entry.
-    const fs::path expDir = fs::path(cacheDir()) / "exp-cache";
-    exp::ResultCache cache(expDir.string());
-    EXPECT_EQ(exp::mergeShards({part1, part2}, &cache), single);
-
-    exp::JsonValue v;
-    std::string err;
-    ASSERT_TRUE(exp::parseJson(single, v, err)) << err;
-    exp::ExpPoint pt;
-    ASSERT_TRUE(exp::pointFromBatchConfig(*v.find("config"), pt));
-    exp::Measurement m;
-    EXPECT_TRUE(cache.load(exp::cacheKey(pt), pt.kind, m))
-        << "the merged measurement must be a result-cache entry";
-
-    // A lone shard normally fails with gaps — but with the cache the
-    // missing intervals come from the partials the first merge wrote.
-    EXPECT_THROW(exp::mergeShards({part1}), std::runtime_error);
-    EXPECT_EQ(exp::mergeShards({part1}, &cache), single);
-    EXPECT_EQ(exp::mergeShards({part2}, &cache), single);
-
-    // And the engine sees the merged result as a plain disk hit: the
-    // sharded fan-out now feeds sweeps through one cache path.
-    exp::EngineConfig ecfg;
-    ecfg.cacheDir = expDir.string();
-    exp::Engine engine(ecfg);
-    EXPECT_EQ(engine.measure(pt), m);
-    EXPECT_EQ(engine.counters().computed, 0u);
-    EXPECT_EQ(engine.counters().diskHits, 1u);
-}
-
-TEST(DriverShardOptions, ShardFlagValidation)
-{
-    auto ok = driver::parseArgs(
-        {"--workload", "pi", "--mode", "sampled", "--load-checkpoints",
-         "d", "--shard", "2/4", "--format", "json"});
-    ASSERT_TRUE(ok.ok) << ok.error;
-    EXPECT_EQ(ok.opts.shardIndex, 2u);
-    EXPECT_EQ(ok.opts.shardCount, 4u);
-
-    // Out-of-range and malformed shard specs.
-    for (const char *bad : {"0/2", "3/2", "2", "a/b", "1/0"}) {
-        EXPECT_FALSE(driver::parseArgs(
-                         {"--workload", "pi", "--mode", "sampled",
-                          "--load-checkpoints", "d", "--shard", bad,
-                          "--format", "json"})
-                         .ok)
-            << bad;
-    }
-
-    // Store flags demand sampled mode, one seed, and a json shard.
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--save-checkpoints", "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--seeds", "2", "--save-checkpoints", "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--save-checkpoints", "d", "--load-checkpoints",
-                      "d"})
-                     .ok);
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--load-checkpoints", "d", "--shard", "1/2"})
-                     .ok);  // text format
-    EXPECT_FALSE(driver::parseArgs(
-                     {"--workload", "pi", "--mode", "sampled",
-                      "--shard", "1/2", "--format", "json"})
-                     .ok);  // no --load-checkpoints
 }
 
 }  // namespace
