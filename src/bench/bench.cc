@@ -41,42 +41,51 @@ fnv1aHex(const std::string &s)
     return buf;
 }
 
+/**
+ * pbs_bench's one mode beyond the shared vocabulary: the functional
+ * engine forced onto the reference opcode-switch dispatch (the
+ * PBS_FUNC_DISPATCH=switch escape hatch), kept as a bench point so the
+ * superblock speedup is a tracked number.
+ */
+const driver::RunMode kFunctionalSwitch = {
+    "functional-switch", "functional-switch", "functional",
+    cpu::ExecMode::Functional, cpu::SimMode::Timing};
+
+const driver::RunMode *
+findBenchMode(const std::string &name)
+{
+    return name == kFunctionalSwitch.name ? &kFunctionalSwitch
+                                          : driver::findRunMode(name);
+}
+
 cpu::CoreConfig
 configFor(const BenchPoint &p, const BenchConfig &bench)
 {
     cpu::CoreConfig cfg;  // 4-wide timing core, the paper's baseline
     cfg.predictor = p.predictor;
     cfg.pbsEnabled = p.pbs;
-    if (p.mode == "legacy") {
-        cfg.execMode = cpu::ExecMode::Legacy;
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
-    } else if (p.mode == "functional") {
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (p.mode == "functional-switch") {
-        // Same engine forced onto the reference opcode-switch dispatch
-        // (the PBS_FUNC_DISPATCH=switch escape hatch): keeping both as
-        // bench points makes the superblock speedup a tracked number.
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (p.mode == "sampled") {
-        cfg.execMode = cpu::ExecMode::Sampled;
+    if (const driver::RunMode *m = findBenchMode(p.mode))
+        m->apply(cfg);
+    if (cfg.execMode == cpu::ExecMode::Sampled)
         cfg.sample = bench.sample;
-    } else if (p.mode == "mpki") {
-        cfg.mode = cpu::SimMode::Functional;
-    }
     return cfg;
 }
 
-const char *const kBenchModes[] = {"detailed", "legacy", "functional",
-                                   "functional-switch", "sampled", "mpki"};
-
-bool
-knownMode(const std::string &m)
+/** The non-empty items of a comma-separated list. */
+std::vector<std::string>
+splitCsv(const std::string &s)
 {
-    for (const char *k : kBenchModes) {
-        if (m == k)
-            return true;
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= s.size()) {
+        size_t comma = s.find(',', start);
+        if (comma == std::string::npos)
+            comma = s.size();
+        if (comma > start)
+            out.push_back(s.substr(start, comma - start));
+        start = comma + 1;
     }
-    return false;
+    return out;
 }
 
 /**
@@ -150,19 +159,6 @@ std::vector<BenchPoint>
 filterPoints(const std::vector<BenchPoint> &points,
              const std::string &workloads, const std::string &predictors)
 {
-    auto splitCsv = [](const std::string &s) {
-        std::vector<std::string> out;
-        size_t start = 0;
-        while (start <= s.size()) {
-            size_t comma = s.find(',', start);
-            if (comma == std::string::npos)
-                comma = s.size();
-            if (comma > start)
-                out.push_back(s.substr(start, comma - start));
-            start = comma + 1;
-        }
-        return out;
-    };
     auto contains = [](const std::vector<std::string> &v,
                        const std::string &x) {
         return std::find(v.begin(), v.end(), x) != v.end();
@@ -195,18 +191,11 @@ expandModes(const std::vector<BenchPoint> &points,
             const std::string &modes)
 {
     std::vector<std::string> list;
-    size_t start = 0;
-    while (start <= modes.size()) {
-        size_t comma = modes.find(',', start);
-        if (comma == std::string::npos)
-            comma = modes.size();
-        if (comma > start) {
-            std::string m = modes.substr(start, comma - start);
-            if (!knownMode(m))
-                throw std::invalid_argument("unknown mode: " + m);
-            list.push_back(m);
-        }
-        start = comma + 1;
+    for (const std::string &m : splitCsv(modes)) {
+        const driver::RunMode *mode = findBenchMode(m);
+        if (!mode)
+            throw std::invalid_argument("unknown mode: " + m);
+        list.push_back(mode->canonical);
     }
     if (list.empty())
         list.push_back("detailed");

@@ -35,9 +35,9 @@ struct BenchPoint
     std::string predictor;  ///< canonical name
     bool pbs = false;
 
-    /** Execution mode: detailed | legacy | functional |
-     *  functional-switch (reference dispatch) | sampled | mpki (see
-     *  README "Simulation modes"). */
+    /** Execution mode: a canonical driver::runModes() name, or
+     *  functional-switch (the functional engine on its reference
+     *  dispatch; see README "Simulation modes"). */
     std::string mode = "detailed";
 };
 

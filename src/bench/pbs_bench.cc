@@ -2,12 +2,8 @@
  * @file
  * `pbs_bench`: the simulated-MIPS throughput harness.
  *
- * Usage:
- *   pbs_bench [--quick] [--jobs N] [--repeats N] [--div N] [--seed S]
- *             [--modes M1,M2] [--sample-interval N] [--sample-warmup N]
- *             [--sample-measure N] [--out FILE] [--baseline FILE]
- *             [--max-regress F] [--write-baseline FILE] [--list]
- *             [observability flags: see driver/frontend.hh]
+ *   pbs_bench --quick --workloads pi --modes detailed,mpki --out b.json
+ *   pbs_bench --help     (every flag, rendered from the option table)
  *
  * Measures every registered workload x predictor pair (plus PBS-on
  * points), optionally crossed with execution modes (--modes
@@ -24,13 +20,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench/bench.hh"
 #include "driver/frontend.hh"
+#include "driver/options.hh"
 #include "exp/cache.hh"
 #include "obs/manifest.hh"
 #include "obs/telemetry.hh"
@@ -40,25 +36,9 @@ namespace {
 
 using namespace pbs;
 
-int
-usage(const char *msg = nullptr)
-{
-    if (msg)
-        std::fprintf(stderr, "pbs_bench: %s\n", msg);
-    std::fprintf(stderr,
-        "usage: pbs_bench [--quick] [--jobs N] [--repeats N] [--div N]\n"
-        "                 [--workloads W1,W2] [--predictors P1,P2]\n"
-        "                 [--modes M1,M2] [--sample-interval N]\n"
-        "                 [--sample-warmup N] [--sample-measure N]\n"
-        "                 [--seed S] [--out FILE] [--baseline FILE]\n"
-        "                 [--max-regress F] [--write-baseline FILE]\n"
-        "                 [observability flags] [--list]\n"
-        "modes: detailed (default), legacy, functional,\n"
-        "       functional-switch, sampled, mpki\n"
-        "observability flags:\n%s",
-        driver::obsUsageText());
-    return msg ? 2 : 0;
-}
+const char *const kSynopsis =
+    "usage: pbs_bench [--quick] [--jobs N] [--repeats N] [--div N] "
+    "[options]\n";
 
 }  // namespace
 
@@ -69,108 +49,66 @@ main(int argc, char **argv)
     bench::BenchConfig cfg;
     std::string out, baseline, writeBaseline;
     driver::ObsFlags obsFlags;
-    std::string obsError;
     std::string workloads, predictors, modes;
     double maxRegress = 0.20;
+    unsigned divisor = 0;  // 0 = not given: 4, or 50 with --quick
     bool list = false;
-    bool divisorExplicit = false;
+    bool help = false;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (size_t i = 0; i < args.size(); i++) {
-        std::string v;
-        int r;
-        if (args[i] == "--quick") {
-            cfg.quick = true;
-        } else if (args[i] == "--list") {
-            list = true;
-        } else if (args[i] == "--help" || args[i] == "-h") {
-            return usage();
-        } else if ((r = util::takeOptionValue(args, i, "--jobs", v))) {
-            if (r < 0 || !util::parseUnsignedArg(v, cfg.jobs) ||
-                cfg.jobs == 0)
-                return usage("bad --jobs");
-        } else if ((r = util::takeOptionValue(args, i, "--repeats",
-                                              v))) {
-            if (r < 0 || !util::parseUnsignedArg(v, cfg.repeats))
-                return usage("bad --repeats");
-        } else if ((r = util::takeOptionValue(args, i, "--div", v))) {
-            if (r < 0 || !util::parseUnsignedArg(v, cfg.divisor) ||
-                cfg.divisor == 0)
-                return usage("bad --div");
-            divisorExplicit = true;
-        } else if ((r = util::takeOptionValue(args, i, "--seed", v))) {
-            uint64_t seed;
-            if (r < 0 || !util::parseU64Arg(v, seed))
-                return usage("bad --seed");
-            cfg.seed = seed;
-        } else if ((r = util::takeOptionValue(args, i, "--workloads",
-                                              v))) {
-            if (r < 0)
-                return usage("bad --workloads");
-            workloads = v;
-        } else if ((r = util::takeOptionValue(args, i, "--predictors",
-                                              v))) {
-            if (r < 0)
-                return usage("bad --predictors");
-            predictors = v;
-        } else if ((r = util::takeOptionValue(args, i, "--modes",
-                                              v)) ||
-                   (r = util::takeOptionValue(args, i, "--mode", v))) {
-            if (r < 0)
-                return usage("bad --modes");
-            modes = v;
-        } else if ((r = util::takeOptionValue(args, i,
-                                              "--sample-interval",
-                                              v))) {
-            if (r < 0 || !util::parseU64Arg(v, cfg.sample.interval) ||
-                cfg.sample.interval == 0) {
-                return usage("bad --sample-interval");
-            }
-        } else if ((r = util::takeOptionValue(args, i,
-                                              "--sample-warmup", v))) {
-            if (r < 0 || !util::parseU64Arg(v, cfg.sample.warmup))
-                return usage("bad --sample-warmup");
-        } else if ((r = util::takeOptionValue(args, i,
-                                              "--sample-measure",
-                                              v))) {
-            if (r < 0 || !util::parseU64Arg(v, cfg.sample.measure) ||
-                cfg.sample.measure == 0) {
-                return usage("bad --sample-measure");
-            }
-        } else if ((r = util::takeOptionValue(args, i, "--out", v))) {
-            if (r < 0)
-                return usage("bad --out");
-            out = v;
-        } else if ((r = driver::takeObsFlag(args, i, obsFlags,
-                                            obsError))) {
-            if (r < 0)
-                return usage(obsError.c_str());
-        } else if ((r = util::takeOptionValue(args, i, "--baseline",
-                                              v))) {
-            if (r < 0)
-                return usage("bad --baseline");
-            baseline = v;
-        } else if ((r = util::takeOptionValue(args, i,
-                                              "--write-baseline", v))) {
-            if (r < 0)
-                return usage("bad --write-baseline");
-            writeBaseline = v;
-        } else if ((r = util::takeOptionValue(args, i, "--max-regress",
-                                              v))) {
-            char *end = nullptr;
-            maxRegress = r > 0 ? std::strtod(v.c_str(), &end) : 0.0;
-            if (r < 0 || !end || *end != '\0' || v.empty() ||
-                maxRegress < 0.0 || maxRegress >= 1.0) {
-                return usage("bad --max-regress (want a fraction in "
-                             "[0, 1))");
-            }
-        } else {
-            return usage(("unknown option: " + args[i]).c_str());
-        }
+    std::vector<util::Option> rows = {
+        util::section("Measurement grid:"),
+        util::flag({"--quick"}, &cfg.quick,
+                   "CI-fast scales (divisor 50 unless --div given)"),
+        util::divOption(&divisor),
+        util::seedOption(&cfg.seed),
+        util::value({"--workloads"}, &workloads, "<list>",
+                    "filter the point grid by workload"),
+        util::value({"--predictors"}, &predictors, "<list>",
+                    "filter the point grid by predictor"),
+        util::value({"--modes", "--mode"}, &modes, "<list>",
+                    "cross each pair with execution modes:\n" +
+                        driver::runModeNames(" | ") + " |\n"
+                        "functional-switch (default detailed)"),
+        util::sampleIntervalOption(&cfg.sample.interval),
+        util::sampleWarmupOption(&cfg.sample.warmup),
+        util::sampleMeasureOption(&cfg.sample.measure),
+        util::flag({"--list"}, &list, "print the measurement grid and exit"),
+        util::helpOption(&help),
+        util::section("Timing and the baseline gate:"),
+        util::jobsOption(&cfg.jobs),
+        util::value({"--repeats"}, &cfg.repeats, "<n>",
+                    "timing repetitions per point (best kept)"),
+        util::value({"--out"}, &out, "<file>",
+                    "write the pbs-bench-v2 JSON artifact"),
+        util::value({"--baseline"}, &baseline, "<file>",
+                    "compare against a baseline artifact (v1 or v2)"),
+        util::maxRegressOption(&maxRegress,
+                               "regression threshold, a fraction in "
+                               "[0, 1)\n(default 0.20)",
+                               1.0, false),
+        util::value({"--write-baseline"}, &writeBaseline, "<file>",
+                    "write the artifact as the new baseline"),
+        util::section("Observability (docs/observability.md):"),
+    };
+    for (util::Option &row : driver::obsOptions(obsFlags))
+        rows.push_back(std::move(row));
+
+    auto usage = [&](const std::string &msg) {
+        std::fprintf(stderr, "pbs_bench: %s\n%s", msg.c_str(),
+                     util::renderHelp(kSynopsis, rows).c_str());
+        return 2;
+    };
+    const std::string err = util::parseOptions(
+        rows, std::vector<std::string>(argv + 1, argv + argc));
+    if (!err.empty())
+        return usage(err);
+    if (help) {
+        std::printf("%s", util::renderHelp(kSynopsis, rows).c_str());
+        return 0;
     }
-
-    // --quick picks the CI-fast scale unless --div was given explicitly.
-    if (cfg.quick && !divisorExplicit)
+    if (divisor)
+        cfg.divisor = divisor;
+    else if (cfg.quick)
         cfg.divisor = 50;
 
     // Sampling parameters only shape sampled-mode points.

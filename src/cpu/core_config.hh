@@ -48,31 +48,29 @@ struct Latencies
 /** Simulation fidelity of the detailed core. */
 enum class SimMode {
     Timing,      ///< full OoO timing + predictors + caches
-    Functional,  ///< architectural state only (fast accuracy runs)
+    Functional,  ///< predictors and PBS, no timing (the mpki run mode)
 };
 
 /**
- * Which execution engine runs the program (the driver-level `--mode`).
+ * Which execution engine runs the program. The user-facing run modes
+ * (driver::runModes(): detailed, timing, mpki, functional, sampled)
+ * each select one ExecMode and one SimMode.
  *
- *  - Detailed: the cpu::Core (SimMode selects its fidelity;
- *    `--mode mpki` maps to SimMode::Functional — the fidelity that
- *    still updates predictors and the PBS engine but models no
- *    timing, and runs on the functional engine's superblock executor
- *    with the predictor and PBS notes as its branch observer).
- *  - Legacy: the cpu::Core interpreting the isa::Program directly
- *    (ExecPath::LegacyProgram), the differential-testing reference
- *    for both fidelities.
+ *  - Detailed: the cpu::Core (SimMode selects its fidelity; the
+ *    `mpki` run mode is SimMode::Functional, which still updates
+ *    predictors and the PBS engine but models no timing, and runs on
+ *    the functional engine's superblock executor with the predictor
+ *    and PBS notes as its branch observer).
  *  - Functional: the sampling subsystem's FunctionalEngine —
  *    architectural state only, no predictors, no caches, no timing.
  *  - Sampled: SMARTS-style systematic sampling (functional
  *    fast-forward, detailed warmup, measured detailed intervals).
  *
- * The cpu::Core itself only ever executes Detailed/Legacy
- * configurations; the sampling subsystem resolves the other two.
+ * The cpu::Core itself only ever executes Detailed configurations;
+ * the sampling subsystem resolves the other two.
  */
 enum class ExecMode {
     Detailed,
-    Legacy,
     Functional,
     Sampled,
 };
@@ -101,7 +99,8 @@ struct SampleParams
  * predecoded path (tests/predecode_equiv_test.cc). In the mpki fidelity
  * the predecoded path runs on the superblock executor with a branch
  * observer, so the legacy path is that executor's oracle too
- * (tests/mpki_equiv_test.cc).
+ * (tests/mpki_equiv_test.cc). No run mode selects it; the tests set it
+ * directly.
  */
 enum class ExecPath {
     Decoded,        ///< predecoded image; superblocks in mpki (default)

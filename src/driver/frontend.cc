@@ -7,64 +7,31 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/telemetry.hh"
-#include "util/cli.hh"
 #include "util/task_pool.hh"
 
 namespace pbs::driver {
 
-int
-takeObsFlag(const std::vector<std::string> &args, size_t &i,
-            ObsFlags &flags, std::string &error)
+std::vector<util::Option>
+obsOptions(ObsFlags &flags)
 {
-    struct FileFlag
-    {
-        const char *name;
-        std::string ObsFlags::*file;
+    // File names must be non-empty (min length 1).
+    return {
+        util::value({"--trace"}, &flags.traceFile, "<file>",
+                    "write a pbs-trace-v1 span timeline (Chrome\n"
+                    "trace-event JSON; load in Perfetto), one\n"
+                    "track per pool worker", 1),
+        util::value({"--metrics"}, &flags.metricsFile, "<file>",
+                    "write a pbs-metrics-v1 snapshot (counters,\n"
+                    "per-phase wall time, per-worker utilization)", 1),
+        util::value({"--manifest"}, &flags.manifestFile, "<file>",
+                    "write a pbs-run-v1 run manifest (argv, code\n"
+                    "salt, FNV-128 hash of every artifact written)", 1),
+        util::value({"--telemetry"}, &flags.telemetryFile, "<file>",
+                    "append pbs-timeseries-v1 samples (counters,\n"
+                    "pool stats, RSS) while the run is in flight", 1),
+        util::value({"--telemetry-interval"}, &flags.telemetryIntervalMs,
+                    "<ms>", "sampler tick period (default 1000)", 1),
     };
-    static const FileFlag kFileFlags[] = {
-        {"--trace", &ObsFlags::traceFile},
-        {"--metrics", &ObsFlags::metricsFile},
-        {"--manifest", &ObsFlags::manifestFile},
-        {"--telemetry", &ObsFlags::telemetryFile},
-    };
-    std::string v;
-    for (const FileFlag &f : kFileFlags) {
-        const int m = util::takeOptionValue(args, i, f.name, v);
-        if (m == 0)
-            continue;
-        if (m < 0 || v.empty()) {
-            error = std::string(f.name) + " needs an output file";
-            return -1;
-        }
-        flags.*f.file = v;
-        return 1;
-    }
-    const int m = util::takeOptionValue(args, i, "--telemetry-interval", v);
-    if (m == 0)
-        return 0;
-    if (m < 0 || !util::parseU64Arg(v, flags.telemetryIntervalMs) ||
-        flags.telemetryIntervalMs == 0) {
-        error = "bad --telemetry-interval value (ms, >= 1)";
-        return -1;
-    }
-    return 1;
-}
-
-const char *
-obsUsageText()
-{
-    return "  --trace <file>       write a pbs-trace-v1 span timeline (Chrome\n"
-           "                       trace-event JSON; load in Perfetto) — one\n"
-           "                       track per pool worker\n"
-           "  --metrics <file>     write a pbs-metrics-v1 snapshot (counters,\n"
-           "                       per-phase wall time, per-worker\n"
-           "                       utilization; see docs/observability.md)\n"
-           "  --manifest <file>    write a pbs-run-v1 run manifest (argv, code\n"
-           "                       salt, FNV-128 hash of every artifact this\n"
-           "                       run wrote)\n"
-           "  --telemetry <file>   append pbs-timeseries-v1 samples (counters,\n"
-           "                       pool stats, RSS) while the run is in flight\n"
-           "  --telemetry-interval <ms>  sampler tick period (default 1000)\n";
 }
 
 void

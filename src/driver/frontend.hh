@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "util/cli.hh"
+
 namespace pbs::driver {
 
 /** The observability artifacts a run was asked for (empty = off). */
@@ -33,16 +35,8 @@ struct ObsFlags
     uint64_t telemetryIntervalMs = 1000;  ///< sampler tick period
 };
 
-/**
- * Consume @p args[@p i] when it is one of the observability flags.
- * @return 1 = consumed (@p i advanced past a separate value),
- *         0 = a different option, -1 = malformed (@p error says why).
- */
-int takeObsFlag(const std::vector<std::string> &args, size_t &i,
-                ObsFlags &flags, std::string &error);
-
-/** The --help block documenting the observability flags. */
-const char *obsUsageText();
+/** The five observability rows of every run binary's option table. */
+std::vector<util::Option> obsOptions(ObsFlags &flags);
 
 /** Enable the requested collectors and start the telemetry sampler. */
 void startObs(const char *binary, const ObsFlags &flags);

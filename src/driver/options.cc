@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hh"
 
@@ -43,13 +43,91 @@ predictorNames()
     return names;
 }
 
-ParseResult
-parseArgs(int argc, const char *const *argv)
+std::vector<util::Option>
+simOptions(DriverOptions &o)
 {
-    std::vector<std::string> args;
-    for (int i = 1; i < argc; i++)
-        args.emplace_back(argv[i]);
-    return parseArgs(args);
+    using util::flag;
+    using util::value;
+    std::vector<util::Option> rows = {
+        util::section("Simulation options:"),
+        value({"--workload", "--benchmark"}, &o.workload, "<name>",
+              "benchmark to run (see --list; a bare\n"
+              "positional name works too)"),
+        value({"--predictor"}, &o.predictor, "<name>",
+              "direction predictor (default tage-sc-l;\n"
+              "'_' and case are normalized, so tage_scl works)"),
+        flag({"--pbs"}, &o.pbs, "enable Probabilistic Branch Support"),
+        flag({"--no-pbs"}, nullptr, "disable PBS (the default)",
+             [&o](const std::string &) {
+                 o.pbs = false;
+                 return std::string();
+             }),
+        flag({"--no-stall"}, &o.noStall,
+             "PBS: fall back to prediction under pressure"),
+        flag({"--no-context"}, &o.noContext,
+             "PBS: disable the Context-Table"),
+        flag({"--no-guard"}, &o.noGuard, "PBS: disable the Const-Val guard"),
+        flag({"--wide"}, &o.wide, "8-wide / 256-entry-ROB core"),
+        value<std::string>(
+            {"--mode"}, nullptr, "<m>",
+            runModeNames(" | ") +
+                "\n(default detailed; see README \"Simulation modes\")",
+            0,
+            [&o](const std::string &v) {
+                const RunMode *m = findRunMode(v);
+                if (!m)
+                    return "unknown mode: " + v + " (expected " +
+                           runModeNames(", ") + ")";
+                o.mode = m->canonical;
+                return std::string();
+            }),
+        value<std::string>(
+            {"--variant"}, nullptr, "<v>", "marked | predicated | cfd", 0,
+            [&o](const std::string &v) {
+                if (v == "marked")
+                    o.variant = workloads::Variant::Marked;
+                else if (v == "predicated")
+                    o.variant = workloads::Variant::Predicated;
+                else if (v == "cfd")
+                    o.variant = workloads::Variant::Cfd;
+                else
+                    return "unknown variant: " + v;
+                return std::string();
+            }),
+        value({"--scale"}, &o.scale, "<n>",
+              "iteration count (0 = workload default)"),
+        util::divOption(&o.divisor),
+        flag({"--prob-trace"}, &o.probTrace,
+             "record the probabilistic-branch trace"),
+        util::section("Sampled mode:"),
+        util::sampleIntervalOption(&o.sampleInterval),
+        util::sampleWarmupOption(&o.sampleWarmup),
+        util::sampleMeasureOption(&o.sampleMeasure),
+        value({"--sample-max"}, &o.sampleMax, "<n>",
+              "sampled: cap on measured samples (0 = all)"),
+        util::section("Batch, reports and output:"),
+        util::seedOption(&o.seed),
+        util::seedsOption(&o.seeds),
+        util::jobsOption(&o.jobs),
+        value({"--format"}, &o.format, "<f>",
+              "batch output: text (default) or json\n"
+              "(the pbs-batch-v2 schema; see README)",
+              0,
+              [](const std::string &v) {
+                  return v == "text" || v == "json"
+                      ? std::string()
+                      : "bad --format value: " + v +
+                            " (expected text or json)";
+              }),
+        value({"--report"}, &o.report, "<name>",
+              "render one fig/table report (see --list)"),
+        flag({"--list"}, &o.list, "list workloads, predictors, reports"),
+        util::helpOption(&o.help),
+        util::section("Observability (docs/observability.md):"),
+    };
+    for (util::Option &row : obsOptions(o.obs))
+        rows.push_back(std::move(row));
+    return rows;
 }
 
 ParseResult
@@ -64,134 +142,16 @@ parseArgs(const std::vector<std::string> &args)
         return r;
     };
 
-    // "--key value" / "--key=value": 1 = matched (value in @p v),
-    // 0 = different option, -1 = key given without a value.
-    size_t i = 0;
-    std::string v;
-    auto takeValue = [&](const std::string &, const char *key) {
-        return util::takeOptionValue(args, i, key, v);
-    };
-
-    for (i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        int m;
-
-        if (arg == "--help" || arg == "-h") {
-            o.help = true;
-        } else if (arg == "--list") {
-            o.list = true;
-        } else if (arg == "--pbs") {
-            o.pbs = true;
-        } else if (arg == "--no-pbs") {
-            o.pbs = false;
-        } else if (arg == "--wide") {
-            o.wide = true;
-        } else if (arg == "--no-stall") {
-            o.noStall = true;
-        } else if (arg == "--no-context") {
-            o.noContext = true;
-        } else if (arg == "--no-guard") {
-            o.noGuard = true;
-        } else if (arg == "--prob-trace") {
-            o.probTrace = true;
-        } else if ((m = takeObsFlag(args, i, o.obs, r.error)) != 0) {
-            if (m < 0)
-                return fail(r.error);
-        } else if ((m = takeValue(arg, "--workload")) != 0 ||
-                   (m = takeValue(arg, "--benchmark")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.workload = v;
-        } else if ((m = takeValue(arg, "--predictor")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.predictor = v;
-        } else if ((m = takeValue(arg, "--report")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            o.report = v;
-        } else if ((m = takeValue(arg, "--mode")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (v == "mpki") {
-                // The predictor-functional fidelity on the detailed core.
-                o.mode = "detailed";
-                o.functional = true;
-            } else if (v == "detailed" || v == "legacy" ||
-                       v == "functional" || v == "sampled") {
-                o.mode = v;
-                o.functional = false;
-            } else {
-                return fail("unknown mode: " + v + " (expected "
-                            "detailed, legacy, functional, sampled "
-                            "or mpki)");
-            }
-        } else if ((m = takeValue(arg, "--sample-interval")) != 0) {
-            if (m < 0 || !util::parseU64Arg(v, o.sampleInterval) ||
-                o.sampleInterval == 0) {
-                return fail("bad --sample-interval value");
-            }
-        } else if ((m = takeValue(arg, "--sample-warmup")) != 0) {
-            if (m < 0 || !util::parseU64Arg(v, o.sampleWarmup))
-                return fail("bad --sample-warmup value");
-        } else if ((m = takeValue(arg, "--sample-measure")) != 0) {
-            if (m < 0 || !util::parseU64Arg(v, o.sampleMeasure) ||
-                o.sampleMeasure == 0) {
-                return fail("bad --sample-measure value");
-            }
-        } else if ((m = takeValue(arg, "--sample-max")) != 0) {
-            if (m < 0 || !util::parseU64Arg(v, o.sampleMax))
-                return fail("bad --sample-max value");
-        } else if ((m = takeValue(arg, "--variant")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (v == "marked")
-                o.variant = workloads::Variant::Marked;
-            else if (v == "predicated")
-                o.variant = workloads::Variant::Predicated;
-            else if (v == "cfd")
-                o.variant = workloads::Variant::Cfd;
-            else
-                return fail("unknown variant: " + v);
-        } else if ((m = takeValue(arg, "--scale")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!util::parseU64Arg(v, o.scale))
-                return fail("bad --scale value: " + v);
-        } else if ((m = takeValue(arg, "--div")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!util::parseUnsignedArg(v, o.divisor) || o.divisor == 0)
-                return fail("bad --div value: " + v);
-        } else if ((m = takeValue(arg, "--seed")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!util::parseU64Arg(v, o.seed))
-                return fail("bad --seed value: " + v);
-        } else if ((m = takeValue(arg, "--seeds")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!util::parseUnsignedArg(v, o.seeds) || o.seeds == 0)
-                return fail("bad --seeds value: " + v);
-        } else if ((m = takeValue(arg, "--jobs")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (!util::parseUnsignedArg(v, o.jobs) || o.jobs == 0)
-                return fail("bad --jobs value: " + v);
-        } else if ((m = takeValue(arg, "--format")) != 0) {
-            if (m < 0)
-                return fail(arg + " needs a value");
-            if (v != "text" && v != "json")
-                return fail("bad --format value: " + v +
-                            " (expected text or json)");
-            o.format = v;
-        } else if (!arg.empty() && arg[0] != '-' && o.workload.empty()) {
-            // Positional benchmark name (pbs_run compatibility).
+    const std::string err = util::parseOptions(
+        simOptions(o), args, [&o](const std::string &arg) {
+            // A bare benchmark name (pbs_run compatibility).
+            if (arg.empty() || arg[0] == '-' || !o.workload.empty())
+                return "unknown option: " + arg;
             o.workload = arg;
-        } else {
-            return fail("unknown option: " + arg);
-        }
-    }
+            return std::string();
+        });
+    if (!err.empty())
+        return fail(err);
 
     if (o.help || o.list) {
         r.ok = true;
@@ -238,50 +198,59 @@ parseArgs(const std::vector<std::string> &args)
 std::string
 usageText()
 {
-    std::ostringstream os;
-    os <<
+    DriverOptions o;
+    return util::renderHelp(
         "usage: pbs_sim --workload <name> [options]\n"
-        "       pbs_sim --report <name> [--div N]\n"
-        "       pbs_sim --list\n"
-        "\n"
-        "Simulation options:\n"
-        "  --workload <name>    benchmark to run (see --list)\n"
-        "  --predictor <name>   direction predictor (default tage-sc-l;\n"
-        "                       '_' and case are normalized, so tage_scl"
-        " works)\n"
-        "  --pbs                enable Probabilistic Branch Support\n"
-        "  --no-stall           PBS: fall back to prediction under"
-        " pressure\n"
-        "  --no-context         PBS: disable the Context-Table\n"
-        "  --no-guard           PBS: disable the Const-Val guard\n"
-        "  --wide               8-wide / 256-entry-ROB core\n"
-        "  --mode <m>           detailed (default) | legacy |\n"
-        "                       functional | sampled | mpki\n"
-        "                       (see README \"Simulation modes\")\n"
-        "  --sample-interval <n>  sampled: insts between measurements\n"
-        "  --sample-warmup <n>    sampled: detailed warmup per sample\n"
-        "  --sample-measure <n>   sampled: measured insts per sample\n"
-        "  --sample-max <n>       sampled: cap on measured samples\n"
-        "  --variant <v>        marked | predicated | cfd\n"
-        "  --scale <n>          iteration count (0 = workload default)\n"
-        "  --div <n>            divide the default scale by n\n"
-        "  --prob-trace         record the probabilistic-branch trace\n"
-        "\n"
-        "Observability (docs/observability.md):\n"
-       << obsUsageText() <<
-        "\n"
-        "Batch options:\n"
-        "  --seed <n>           first seed (default 12345)\n"
-        "  --seeds <n>          run n consecutive seeds (default 1)\n"
-        "  --jobs <n>           worker threads for the batch (default 1)\n"
-        "  --format <f>         batch output: text (default) or json\n"
-        "                       (the pbs-batch-v2 schema; see README)\n"
-        "\n"
-        "Reports (the paper's fig/table harnesses):\n"
-        "  --report <name>      render one report (see --list)\n"
-        "  --div <n>            quick-look scale divisor\n"
-        "  --jobs <n>           worker threads for the report's sweep\n";
-    return os.str();
+        "       pbs_sim --report <name> [--div N] [--jobs N]\n"
+        "       pbs_sim --list\n",
+        simOptions(o));
+}
+
+const std::vector<RunMode> &
+runModes()
+{
+    using cpu::ExecMode;
+    using cpu::SimMode;
+    static const std::vector<RunMode> modes = {
+        {"detailed", "detailed", "detailed", ExecMode::Detailed,
+         SimMode::Timing},
+        {"timing", "detailed", "detailed", ExecMode::Detailed,
+         SimMode::Timing},
+        {"mpki", "mpki", "detailed", ExecMode::Detailed,
+         SimMode::Functional},
+        {"functional", "functional", "functional", ExecMode::Functional,
+         SimMode::Timing},
+        {"sampled", "sampled", "sampled", ExecMode::Sampled,
+         SimMode::Timing},
+    };
+    return modes;
+}
+
+const RunMode *
+findRunMode(const std::string &name)
+{
+    for (const RunMode &m : runModes()) {
+        if (name == m.name)
+            return &m;
+    }
+    return nullptr;
+}
+
+const RunMode &
+runMode(const std::string &name)
+{
+    if (const RunMode *m = findRunMode(name))
+        return *m;
+    throw std::invalid_argument("unknown mode: " + name);
+}
+
+std::string
+runModeNames(const char *sep)
+{
+    std::string out;
+    for (const RunMode &m : runModes())
+        out += (out.empty() ? "" : sep) + std::string(m.name);
+    return out;
 }
 
 cpu::CoreConfig
@@ -289,14 +258,7 @@ coreConfig(const DriverOptions &opts)
 {
     cpu::CoreConfig cfg = opts.wide ? cpu::CoreConfig::eightWide()
                                     : cpu::CoreConfig::fourWide();
-    if (opts.mode == "legacy") {
-        cfg.execMode = cpu::ExecMode::Legacy;
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
-    } else if (opts.mode == "functional") {
-        cfg.execMode = cpu::ExecMode::Functional;
-    } else if (opts.mode == "sampled") {
-        cfg.execMode = cpu::ExecMode::Sampled;
-    }
+    runMode(opts.mode).apply(cfg);
     if (opts.sampleInterval)
         cfg.sample.interval = opts.sampleInterval;
     if (opts.sampleWarmup)
@@ -305,8 +267,6 @@ coreConfig(const DriverOptions &opts)
         cfg.sample.measure = opts.sampleMeasure;
     if (opts.sampleMax)
         cfg.sample.maxSamples = opts.sampleMax;
-    if (opts.functional)
-        cfg.mode = cpu::SimMode::Functional;
     cfg.predictor = opts.predictor;
     cfg.pbsEnabled = opts.pbs;
     cfg.pbs.stallOnBusy = !opts.noStall;

@@ -18,6 +18,7 @@
 
 #include "cpu/core_config.hh"
 #include "driver/frontend.hh"
+#include "util/cli.hh"
 #include "workloads/common.hh"
 
 namespace pbs::driver {
@@ -35,15 +36,9 @@ struct DriverOptions
     std::string predictor = "tage-sc-l";
     bool wide = false;               ///< 8-wide / 256-entry ROB
 
-    /**
-     * Execution mode: detailed | legacy | functional | sampled (the
-     * CLI's "--mode mpki" selects detailed plus `functional`).
-     */
+    /** Run mode, canonical name from runModes(): detailed | mpki |
+     *  functional | sampled. */
     std::string mode = "detailed";
-
-    /** The mpki fidelity: SimMode::Functional on the detailed core
-     *  (predictor/PBS updates without timing; `--mode mpki`). */
-    bool functional = false;
     bool pbs = false;                ///< Probabilistic Branch Support
     bool noStall = false;            ///< pbs.stallOnBusy = false
     bool noContext = false;          ///< pbs.contextSupport = false
@@ -80,14 +75,49 @@ struct ParseResult
     DriverOptions opts;
 };
 
-/** Parse `pbs_sim` arguments (argv[0] is skipped). */
-ParseResult parseArgs(int argc, const char *const *argv);
-
-/** Convenience overload for tests. */
+/** Parse `pbs_sim` arguments (argv[0] excluded). */
 ParseResult parseArgs(const std::vector<std::string> &args);
+
+/** The option table `pbs_sim` parses into @p o (and renders --help from). */
+std::vector<util::Option> simOptions(DriverOptions &o);
 
 /** The full usage text. */
 std::string usageText();
+
+/**
+ * One name of the run-mode vocabulary that `pbs_sim --mode`, `pbs_exp
+ * --modes`, spec `mode =` and `pbs_bench --modes` share, and the core
+ * configuration it selects.
+ */
+struct RunMode
+{
+    const char *name;       ///< the spelling users type
+    const char *canonical;  ///< what options store ("timing" -> "detailed")
+    /** The artifacts' `mode` echo (ExpPoint, pbs-batch-v2): mpki is a
+     *  detailed-mode point with `functional` set. */
+    const char *pointMode;
+    cpu::ExecMode exec;
+    cpu::SimMode fidelity;
+
+    void
+    apply(cpu::CoreConfig &cfg) const
+    {
+        cfg.execMode = exec;
+        cfg.mode = fidelity;
+    }
+};
+
+/** The run modes, in help order. */
+const std::vector<RunMode> &runModes();
+
+/** The mode spelled @p name (aliases included), or nullptr. */
+const RunMode *findRunMode(const std::string &name);
+
+/** findRunMode() that throws std::invalid_argument on unknown names. */
+const RunMode &runMode(const std::string &name);
+
+/** The mode spellings joined by @p sep, for help and error text. */
+std::string runModeNames(const char *sep);
 
 /**
  * Canonicalize a predictor name: lower-cased, '_' -> '-', and common

@@ -45,7 +45,7 @@ int
 main(int argc, char **argv)
 {
     obs::manifestBegin("pbs_sim", argc, argv);
-    auto parsed = driver::parseArgs(argc, argv);
+    auto parsed = driver::parseArgs({argv + 1, argv + argc});
     if (!parsed.ok) {
         std::fprintf(stderr, "pbs_sim: %s\n%s", parsed.error.c_str(),
                      driver::usageText().c_str());

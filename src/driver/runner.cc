@@ -36,7 +36,6 @@ runSim(const workloads::BenchmarkDesc &b,
         return r;
       }
       case cpu::ExecMode::Detailed:
-      case cpu::ExecMode::Legacy:
         break;
     }
 
@@ -178,7 +177,7 @@ runWorkload(const DriverOptions &opts)
     std::snprintf(title, sizeof(title),
                   "pbs_sim: %s, %s%s, %s%s", opts.workload.c_str(),
                   opts.predictor.c_str(), opts.pbs ? "+pbs" : "",
-                  opts.functional ? "mpki" : opts.mode.c_str(),
+                  opts.mode.c_str(),
                   opts.wide ? ", 8-wide" : "");
     banner(title, opts.divisor);
 

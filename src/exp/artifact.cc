@@ -48,8 +48,9 @@ writeBatchConfig(JsonWriter &w, const driver::DriverOptions &opts)
     w.key("predictor").value(opts.predictor);
     w.key("variant").value(variantName(opts.variant));
     w.key("wide").value(opts.wide);
-    w.key("mode").value(opts.mode);
-    w.key("functional").value(opts.functional);
+    const driver::RunMode &mode = driver::runMode(opts.mode);
+    w.key("mode").value(mode.pointMode);
+    w.key("functional").value(mode.fidelity == cpu::SimMode::Functional);
     w.key("pbs").value(opts.pbs);
     if (opts.mode == "sampled") {
         // Echo the *effective* parameters (defaults resolved), so the

@@ -15,6 +15,7 @@
 
 #include "driver/frontend.hh"
 #include "exp/cache.hh"
+#include "util/cli.hh"
 
 namespace pbs::exp {
 
@@ -56,6 +57,9 @@ struct CliOptions
  * @return the empty string on success, else the error message.
  */
 std::string parseCli(const std::vector<std::string> &args, CliOptions &o);
+
+/** The option table parseCli() parses into @p o (and --help renders). */
+std::vector<util::Option> cliOptions(CliOptions &o);
 
 /** The full usage text. */
 std::string usageText();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "driver/options.hh"
 #include "util/hash.hh"
 
 namespace pbs::exp {
@@ -30,29 +31,6 @@ variantName(workloads::Variant v)
       case workloads::Variant::Predicated: return "predicated";
       case workloads::Variant::Cfd: return "cfd";
       default: return "marked";
-    }
-}
-
-cpu::ExecMode
-execModeFromName(const std::string &name)
-{
-    if (name == "legacy")
-        return cpu::ExecMode::Legacy;
-    if (name == "functional")
-        return cpu::ExecMode::Functional;
-    if (name == "sampled")
-        return cpu::ExecMode::Sampled;
-    return cpu::ExecMode::Detailed;
-}
-
-const char *
-execModeName(cpu::ExecMode mode)
-{
-    switch (mode) {
-      case cpu::ExecMode::Legacy: return "legacy";
-      case cpu::ExecMode::Functional: return "functional";
-      case cpu::ExecMode::Sampled: return "sampled";
-      default: return "detailed";
     }
 }
 
@@ -144,17 +122,13 @@ pointCoreConfig(const ExpPoint &pt)
 {
     cpu::CoreConfig cfg = pt.wide ? cpu::CoreConfig::eightWide()
                                   : cpu::CoreConfig::fourWide();
-    cfg.execMode = execModeFromName(pt.mode);
-    if (cfg.execMode == cpu::ExecMode::Legacy)
-        cfg.execPath = cpu::ExecPath::LegacyProgram;
+    driver::runMode(pt.functional ? "mpki" : pt.mode).apply(cfg);
     if (pt.sampleInterval)
         cfg.sample.interval = pt.sampleInterval;
     if (pt.sampleWarmup)
         cfg.sample.warmup = pt.sampleWarmup;
     if (pt.sampleMeasure)
         cfg.sample.measure = pt.sampleMeasure;
-    if (pt.functional)
-        cfg.mode = cpu::SimMode::Functional;
     cfg.predictor = pt.predictor;
     cfg.pbsEnabled = pt.pbs;
     cfg.pbs.stallOnBusy = pt.stallOnBusy;

@@ -43,9 +43,10 @@ struct ExpPoint
     bool wide = false;                ///< 8-wide / 256-entry ROB
 
     /**
-     * Execution mode: detailed | legacy | functional | sampled (the
-     * driver-level cpu::ExecMode). Part of the canonical point JSON,
-     * so results from different modes can never collide in the cache.
+     * Execution mode: detailed | functional | sampled (a run mode's
+     * `pointMode`, driver::runModes()). Part of the canonical point
+     * JSON, so results from different modes can never collide in the
+     * cache.
      */
     std::string mode = "detailed";
 
@@ -120,10 +121,6 @@ sampling::StoreKey checkpointStoreKey(const ExpPoint &pt,
 /** Variant enum from its canonical spelling ("marked" on unknown). */
 workloads::Variant variantFromName(const std::string &name);
 const char *variantName(workloads::Variant v);
-
-/** ExecMode from its canonical spelling ("detailed" on unknown). */
-cpu::ExecMode execModeFromName(const std::string &name);
-const char *execModeName(cpu::ExecMode mode);
 
 /** What came out of running a point. */
 struct Measurement

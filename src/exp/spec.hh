@@ -10,9 +10,9 @@
  *   predictor = tournament, tage-sc-l, ...
  *   variant   = marked | predicated | cfd
  *   width     = 4 | 8
- *   mode      = detailed | legacy | functional | sampled | mpki
- *               ("timing" is accepted as an alias of detailed;
- *               "mpki" is the predictor-functional fidelity behind
+ *   mode      = detailed | timing | mpki | functional | sampled
+ *               (driver::runModes(); "timing" is an alias of
+ *               detailed, "mpki" the predictor-only fidelity behind
  *               the MPKI reports, SimMode::Functional)
  *   pbs       = off | on | no-stall | no-context | no-guard
  *   scale     = explicit iteration counts (overrides div)

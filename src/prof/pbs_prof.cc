@@ -11,8 +11,8 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,34 +22,84 @@
 
 namespace {
 
-constexpr const char *kUsage = R"(pbs_prof — analyze pbs-trace-v1 / pbs-metrics-v1 run artifacts
+const char *const kSynopsis =
+    "pbs_prof — analyze pbs-trace-v1 / pbs-metrics-v1 run artifacts\n"
+    "\n"
+    "usage:\n"
+    "  pbs_prof report --trace FILE [options]\n"
+    "  pbs_prof diff BASE.metrics.json CUR.metrics.json [options]\n"
+    "  pbs_prof --help\n";
 
-usage:
-  pbs_prof report --trace FILE [options]
-  pbs_prof diff BASE.metrics.json CUR.metrics.json [options]
-  pbs_prof --help
+const char *const kEpilogue =
+    "\nreport prints per-phase self-vs-child time, per-worker "
+    "utilization\ntimelines, and the critical path; diff prints "
+    "correctness drift first,\nthen per-phase wall-time deltas ranked "
+    "by |delta|.\n";
 
-report options:
-  --trace FILE      pbs-trace-v1 input (required)
-  --metrics FILE    pbs-metrics-v1 snapshot to fold into the report
-  --folded FILE     write flamegraph folded stacks (frame;frame N) here
-  --top N           rows shown in the phase table / critical path (default 12)
+/** Everything the two subcommands can be told. */
+struct ProfArgs
+{
+    std::string traceFile, metricsFile, foldedFile;
+    unsigned top = 12;
+    double maxRegress = 0;  ///< 0 = no regression gate
+    bool failOnDrift = false;
+    bool help = false;
+};
 
-diff options:
-  --max-regress F   exit 1 when any phase regressed more than fraction F
-                    (>= 1 ms of base time and delta; new phases exempt)
-  --fail-on-drift   exit 1 when deterministic counters/gauges differ
-                    (the two runs did different work — correctness drift)
+std::vector<pbs::util::Option>
+reportOptions(ProfArgs &a)
+{
+    using pbs::util::value;  // file names: min length 1
+    return {
+        pbs::util::section("report options:"),
+        value({"--trace"}, &a.traceFile, "FILE",
+              "pbs-trace-v1 input (required)", 1),
+        value({"--metrics"}, &a.metricsFile, "FILE",
+              "pbs-metrics-v1 snapshot to fold into the report", 1),
+        value({"--folded"}, &a.foldedFile, "FILE",
+              "write flamegraph folded stacks (frame;frame N)", 1),
+        value({"--top"}, &a.top, "N",
+              "rows shown in the phase table / critical path\n"
+              "(default 12)",
+              1),
+    };
+}
 
-report prints per-phase self-vs-child time, per-worker utilization
-timelines, and the critical path; diff prints correctness drift first,
-then per-phase wall-time deltas ranked by |delta|.
-)";
+std::vector<pbs::util::Option>
+diffOptions(ProfArgs &a)
+{
+    return {
+        pbs::util::section("diff options:"),
+        pbs::util::maxRegressOption(
+            &a.maxRegress,
+            "exit 1 when any phase regressed more than\n"
+            "fraction f > 0 (>= 1 ms of base time and\n"
+            "delta; new phases exempt)",
+            HUGE_VAL, true),
+        pbs::util::flag({"--fail-on-drift"}, &a.failOnDrift,
+                        "exit 1 when deterministic counters/gauges\n"
+                        "differ (the two runs did different work:\n"
+                        "correctness drift)"),
+    };
+}
+
+std::string
+usageText()
+{
+    ProfArgs a;
+    std::vector<pbs::util::Option> rows = reportOptions(a);
+    for (auto &row : diffOptions(a))
+        rows.push_back(std::move(row));
+    rows.push_back(pbs::util::section("common:"));
+    rows.push_back(pbs::util::helpOption(&a.help));
+    return pbs::util::renderHelp(kSynopsis, rows) + kEpilogue;
+}
 
 int
-usageError(const char *msg)
+usageError(const std::string &msg)
 {
-    std::fprintf(stderr, "pbs_prof: %s\n%s", msg, kUsage);
+    std::fprintf(stderr, "pbs_prof: %s\n%s", msg.c_str(),
+                 usageText().c_str());
     return 2;
 }
 
@@ -82,105 +132,46 @@ writeFile(const std::string &path, const std::string &text)
 }
 
 int
-runReport(int argc, char **argv)
+runReport(const ProfArgs &a)
 {
-    std::string traceFile, metricsFile, foldedFile, v;
-    unsigned top = 12;
-    const std::vector<std::string> args(argv + 2, argv + argc);
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        int m;
-        if ((m = pbs::util::takeOptionValue(args, i, "--trace", v)) != 0) {
-            if (m < 0 || v.empty())
-                return usageError("--trace needs a file");
-            traceFile = v;
-        } else if ((m = pbs::util::takeOptionValue(args, i, "--metrics",
-                                                   v)) != 0) {
-            if (m < 0 || v.empty())
-                return usageError("--metrics needs a file");
-            metricsFile = v;
-        } else if ((m = pbs::util::takeOptionValue(args, i, "--folded",
-                                                   v)) != 0) {
-            if (m < 0 || v.empty())
-                return usageError("--folded needs a file");
-            foldedFile = v;
-        } else if ((m = pbs::util::takeOptionValue(args, i, "--top",
-                                                   v)) != 0) {
-            if (m < 0 || v.empty())
-                return usageError("--top needs a count");
-            top = unsigned(std::strtoul(v.c_str(), nullptr, 10));
-            if (top == 0)
-                return usageError("--top must be >= 1");
-        } else {
-            return usageError(("unknown report option: " + arg).c_str());
-        }
-    }
-    if (traceFile.empty())
+    if (a.traceFile.empty())
         return usageError("report requires --trace FILE");
 
     std::string traceText;
-    if (!readFile(traceFile, traceText)) {
+    if (!readFile(a.traceFile, traceText)) {
         std::fprintf(stderr, "pbs_prof: cannot read %s\n",
-                     traceFile.c_str());
+                     a.traceFile.c_str());
         return 1;
     }
     std::string metricsText;
-    if (!metricsFile.empty() && !readFile(metricsFile, metricsText)) {
+    if (!a.metricsFile.empty() && !readFile(a.metricsFile, metricsText)) {
         std::fprintf(stderr, "pbs_prof: cannot read %s\n",
-                     metricsFile.c_str());
+                     a.metricsFile.c_str());
         return 1;
     }
 
     pbs::prof::Trace trace = pbs::prof::parseTrace(traceText);
-    std::string report = pbs::prof::reportText(trace, metricsText, top);
+    std::string report = pbs::prof::reportText(trace, metricsText, a.top);
     std::fwrite(report.data(), 1, report.size(), stdout);
 
-    if (!foldedFile.empty()) {
+    if (!a.foldedFile.empty()) {
         std::string folded = pbs::prof::foldedStacks(trace);
-        if (!writeFile(foldedFile, folded)) {
+        if (!writeFile(a.foldedFile, folded)) {
             std::fprintf(stderr, "pbs_prof: cannot write %s\n",
-                         foldedFile.c_str());
+                         a.foldedFile.c_str());
             return 1;
         }
         std::fprintf(stderr, "pbs_prof: wrote %zu folded stack(s) to %s\n",
                      size_t(std::count(folded.begin(), folded.end(), '\n')),
-                     foldedFile.c_str());
+                     a.foldedFile.c_str());
     }
     return 0;
 }
 
 int
-runDiff(int argc, char **argv)
+runDiff(const ProfArgs &a, const std::string &baseFile,
+        const std::string &curFile)
 {
-    std::string baseFile, curFile, v;
-    double maxRegress = -1;
-    bool failOnDrift = false;
-    const std::vector<std::string> args(argv + 2, argv + argc);
-    for (size_t i = 0; i < args.size(); i++) {
-        const std::string &arg = args[i];
-        int m;
-        if ((m = pbs::util::takeOptionValue(args, i, "--max-regress",
-                                            v)) != 0) {
-            if (m < 0 || v.empty())
-                return usageError("--max-regress needs a fraction");
-            maxRegress = std::strtod(v.c_str(), nullptr);
-            if (maxRegress <= 0)
-                return usageError("--max-regress must be > 0");
-        } else if (arg == "--fail-on-drift") {
-            failOnDrift = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usageError(("unknown diff option: " + arg).c_str());
-        } else if (baseFile.empty()) {
-            baseFile = arg;
-        } else if (curFile.empty()) {
-            curFile = arg;
-        } else {
-            return usageError("diff takes exactly two metrics files");
-        }
-    }
-    if (baseFile.empty() || curFile.empty())
-        return usageError("diff requires BASE and CUR metrics files");
-
     std::string baseText, curText;
     if (!readFile(baseFile, baseText)) {
         std::fprintf(stderr, "pbs_prof: cannot read %s\n", baseFile.c_str());
@@ -191,13 +182,13 @@ runDiff(int argc, char **argv)
         return 1;
     }
 
-    double threshold = maxRegress > 0 ? maxRegress : 0.2;
+    double threshold = a.maxRegress > 0 ? a.maxRegress : 0.2;
     pbs::prof::MetricsDiff d = pbs::prof::diffMetrics(baseText, curText);
     std::string text = pbs::prof::diffText(d, baseFile, curFile, threshold);
     std::fwrite(text.data(), 1, text.size(), stdout);
 
     int rc = 0;
-    if (failOnDrift && !d.deterministic.empty()) {
+    if (a.failOnDrift && !d.deterministic.empty()) {
         std::fprintf(stderr,
                      "pbs_prof: correctness drift — %zu deterministic "
                      "delta(s), first: %s\n",
@@ -205,18 +196,18 @@ runDiff(int argc, char **argv)
                      d.deterministic.front().name.c_str());
         rc = 1;
     }
-    if (maxRegress > 0) {
-        unsigned n = pbs::prof::regressionCount(d, maxRegress);
+    if (a.maxRegress > 0) {
+        unsigned n = pbs::prof::regressionCount(d, a.maxRegress);
         if (n > 0) {
             // phases[] is ranked by |delta|, so the first gated entry
             // is the phase that moved the run the most.
             for (const pbs::prof::PhaseDelta &p : d.phases) {
                 if (p.baseNs >= 1000000 && p.deltaNs >= 1000000 &&
-                    p.pct > maxRegress) {
+                    p.pct > a.maxRegress) {
                     std::fprintf(stderr,
                                  "pbs_prof: %u phase(s) regressed beyond "
                                  "%.0f%%, worst: %s (%+.1f%%, %+.3f ms)\n",
-                                 n, 100.0 * maxRegress, p.phase.c_str(),
+                                 n, 100.0 * a.maxRegress, p.phase.c_str(),
                                  100.0 * p.pct, double(p.deltaNs) / 1e6);
                     break;
                 }
@@ -232,25 +223,44 @@ runDiff(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; i++) {
-        if (std::strcmp(argv[i], "--help") == 0 ||
-            std::strcmp(argv[i], "-h") == 0) {
-            std::fputs(kUsage, stdout);
-            return 0;
-        }
-    }
-    if (argc < 2)
-        return usageError("missing subcommand");
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    const std::string cmd = args.empty() ? "" : args.front();
+    ProfArgs a;
+    std::vector<pbs::util::Option> rows;
+    if (cmd == "report")
+        rows = reportOptions(a);
+    else if (cmd == "diff")
+        rows = diffOptions(a);
+    rows.push_back(pbs::util::helpOption(&a.help));
 
-    std::string cmd = argv[1];
+    std::vector<std::string> words;  // the subcommand, then diff's files
+    const std::string err = pbs::util::parseOptions(
+        rows, args, [&words](const std::string &arg) {
+            if (!arg.empty() && arg[0] == '-')
+                return "unknown option: " + arg;
+            words.push_back(arg);
+            return std::string();
+        });
+    if (!err.empty())
+        return usageError(err);
+    if (a.help) {
+        std::fputs(usageText().c_str(), stdout);
+        return 0;
+    }
+    if (words.empty())
+        return usageError("missing subcommand");
+    if (rows.size() == 1)
+        return usageError("unknown subcommand: " + cmd);
+    if (cmd == "report" && words.size() != 1)
+        return usageError("report takes no file arguments: " + words[1]);
+    if (cmd == "diff" && words.size() != 3)
+        return usageError("diff takes exactly two metrics files");
+
     try {
-        if (cmd == "report")
-            return runReport(argc, argv);
-        if (cmd == "diff")
-            return runDiff(argc, argv);
+        return cmd == "report" ? runReport(a)
+                               : runDiff(a, words[1], words[2]);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "pbs_prof: %s\n", e.what());
         return 1;
     }
-    return usageError(("unknown subcommand: " + cmd).c_str());
 }

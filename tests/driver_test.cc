@@ -7,9 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+
+#include "bench/bench.hh"
 #include "driver/options.hh"
 #include "driver/reports.hh"
 #include "driver/runner.hh"
+#include "exp/spec.hh"
+#include "support/option_rows.hh"
+#include "util/cli.hh"
 
 namespace {
 
@@ -37,7 +44,7 @@ TEST(DriverOptions, ParsesFullWorkloadInvocation)
     EXPECT_EQ(r.opts.jobs, 4u);
     EXPECT_EQ(r.opts.seed, 12345u);            // default base seed
     EXPECT_FALSE(r.opts.pbs);
-    EXPECT_FALSE(r.opts.functional);
+    EXPECT_EQ(r.opts.mode, "detailed");
 }
 
 TEST(DriverOptions, EqualsSyntaxAndFlags)
@@ -48,7 +55,7 @@ TEST(DriverOptions, EqualsSyntaxAndFlags)
                         "--no-stall", "--no-context", "--no-guard"});
     ASSERT_TRUE(r.ok) << r.error;
     EXPECT_TRUE(r.opts.pbs);
-    EXPECT_TRUE(r.opts.functional);
+    EXPECT_EQ(r.opts.mode, "mpki");
     EXPECT_TRUE(r.opts.wide);
     EXPECT_EQ(r.opts.scale, 100u);
     EXPECT_EQ(r.opts.seed, 7u);
@@ -69,6 +76,23 @@ TEST(DriverOptions, RejectsUnknownWorkloadPredictorAndOption)
     // The mpki fidelity has one spelling: --mode mpki.
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--functional"}).ok);
     EXPECT_FALSE(parseArgs({"--workload", "pi", "--timing"}).ok);
+}
+
+TEST(DriverOptions, EveryRowParsesAndIsInTheHelp)
+{
+    DriverOptions o;
+    testsupport::expectEveryRowParses(
+        driver::simOptions(o), driver::usageText(),
+        {{"--workload", "pi"},
+         {"--predictor", "tournament"},
+         {"--mode", "sampled"},
+         {"--variant", "cfd"},
+         {"--format", "json"},
+         {"--report", "fig07"},
+         {"--trace", "t.json"},
+         {"--metrics", "m.json"},
+         {"--manifest", "run.json"},
+         {"--telemetry", "ts.jsonl"}});
 }
 
 TEST(DriverOptions, WorkloadAndReportAreExclusive)
@@ -133,6 +157,132 @@ TEST(DriverOptions, WorkloadParamsScaleAndDivisor)
 
     auto s = parseArgs({"pi", "--scale", "42"});
     EXPECT_EQ(driver::workloadParams(s.opts, 1).scale, 42u);
+}
+
+// --- The option table and the mode vocabulary ------------------------
+
+TEST(OptionTable, EveryValueKindAcceptsAndRejectsOneWay)
+{
+    bool sw = false;
+    std::string str = "unset", path;
+    uint64_t big = 0;
+    unsigned count = 0, atLeastOne = 0;
+    double frac = -1.0, gate = 0.0;
+    std::vector<util::Option> rows = {
+        util::section("Heading:"),
+        util::flag({"--sw"}, &sw, "a switch"),
+        util::value({"--str", "--alias"}, &str, "<s>", "a string"),
+        util::value({"--path"}, &path, "<f>", "a file name", 1),
+        util::value({"--big"}, &big, "<n>", "an unsigned 64-bit count"),
+        util::value({"--count"}, &count, "<n>", "an unsigned count"),
+        util::value({"--floor"}, &atLeastOne, "<n>", "a count >= 1", 1),
+        util::maxRegressOption(&frac, "in [0, 1)", 1.0, false),
+        util::maxRegressOption(&gate, "> 0", HUGE_VAL, true),
+    };
+    // Both --max-regress ranges, [0, 1) and (0, inf), under two names.
+    rows[rows.size() - 2].names = {"--frac"};
+    rows.back().names = {"--gate"};
+    auto parse = [&](const std::vector<std::string> &args) {
+        return util::parseOptions(rows, args);
+    };
+
+    // "--k v", "--k=v", aliases, and every kind's valid values.
+    EXPECT_EQ(parse({"--big", "7", "--count=8", "--sw", "--floor", "1"}),
+              "");
+    EXPECT_EQ(big, 7u);
+    EXPECT_EQ(count, 8u);
+    EXPECT_EQ(atLeastOne, 1u);
+    EXPECT_TRUE(sw);
+    EXPECT_EQ(parse({"--big=0x10", "--count", "4294967295"}), "");
+    EXPECT_EQ(big, 16u);
+    EXPECT_EQ(count, 4294967295u);
+    EXPECT_EQ(parse({"--alias", "x"}), "");
+    EXPECT_EQ(str, "x");
+    EXPECT_EQ(parse({"--str="}), "");  // a string may be empty
+    EXPECT_EQ(str, "");
+    EXPECT_EQ(parse({"--str", "--sw"}), "");  // the next word is the value
+    EXPECT_EQ(str, "--sw");
+    EXPECT_EQ(parse({"--path=out.json", "--frac", "0", "--gate", "7.5"}),
+              "");
+    EXPECT_EQ(path, "out.json");
+    EXPECT_EQ(frac, 0.0);
+    EXPECT_EQ(gate, 7.5);
+    EXPECT_EQ(parse({"--frac=0.25"}), "");
+    EXPECT_EQ(frac, 0.25);
+
+    const std::vector<std::vector<std::string>> bad = {
+        {"--big"}, {"--count"}, {"--frac"},          // missing value
+        {"--big", "-1"}, {"--big", "+1"},             // signs
+        {"--big", " -1"}, {"--count", "-1"},
+        {"--big", "3x"}, {"--count", "1.5"},          // trailing junk
+        {"--big", ""}, {"--count="},                  // empty numbers
+        {"--big", "18446744073709551616"},            // out of range
+        {"--count", "4294967296"},
+        {"--floor", "0"},                             // below the floor
+        {"--frac", "nan"}, {"--frac", "inf"},         // non-finite
+        {"--gate", "nan"}, {"--gate", "inf"},
+        {"--frac", "0.2x"}, {"--frac", "0.2 "},       // trailing junk
+        {"--frac", "1"}, {"--frac", "-0.1"},          // outside [0, 1)
+        {"--gate", "0"}, {"--gate", "-1"},            // not > 0
+        {"--path", ""}, {"--path="},                  // empty file name
+        {"--sw=1"},                                   // a switch has no value
+        {"--nonesuch"}, {"-s"}, {"positional"},       // unknown
+    };
+    for (const auto &args : bad)
+        EXPECT_NE(parse(args), "")
+            << args[0] << (args.size() > 1 ? " '" + args[1] + "'" : "");
+
+    // Unmatched words go to the positional hook when there is one.
+    std::vector<std::string> seen;
+    EXPECT_EQ(util::parseOptions(rows, {"a", "--sw", "b"},
+                                 [&](const std::string &arg) {
+                                     seen.push_back(arg);
+                                     return std::string();
+                                 }),
+              "");
+    EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+
+    // The help is rendered from the rows, aliases included.
+    const std::string help = util::renderHelp("usage: t\n", rows);
+    for (const char *line : {"Heading:", "--sw", "--str, --alias <s>",
+                             "--frac <f>", "in [0, 1)"})
+        EXPECT_NE(help.find(line), std::string::npos) << line;
+}
+
+TEST(RunModes, LegacyIsRejectedAndTimingAcceptedEverywhere)
+{
+    // pbs_sim --mode
+    EXPECT_FALSE(parseArgs({"pi", "--mode", "legacy"}).ok);
+    auto sim = parseArgs({"pi", "--mode", "timing"});
+    ASSERT_TRUE(sim.ok) << sim.error;
+    EXPECT_EQ(sim.opts.mode, "detailed");
+
+    // Spec files and pbs_exp --modes (one key parser).
+    EXPECT_FALSE(exp::parseSpecText("mode = legacy\n").ok);
+    auto spec = exp::parseSpecText("mode = timing\n");
+    ASSERT_TRUE(spec.ok) << spec.error;
+    EXPECT_EQ(spec.spec.modes, std::vector<std::string>{"detailed"});
+
+    // pbs_bench --modes
+    const auto points = bench::standardPoints();
+    EXPECT_THROW(bench::expandModes(points, "legacy"),
+                 std::invalid_argument);
+    const auto timed = bench::expandModes(points, "timing,mpki");
+    ASSERT_EQ(timed.size(), 2 * points.size());
+    EXPECT_EQ(timed[0].mode, "detailed");
+    EXPECT_EQ(timed[1].mode, "mpki");
+    EXPECT_EQ(bench::expandModes(points, "functional-switch")[0].mode,
+              "functional-switch");
+
+    // One table maps every name to its core configuration.
+    for (const driver::RunMode &m : driver::runModes()) {
+        cpu::CoreConfig cfg;
+        m.apply(cfg);
+        EXPECT_EQ(cfg.execMode, m.exec) << m.name;
+        EXPECT_EQ(cfg.mode, m.fidelity) << m.name;
+    }
+    EXPECT_EQ(driver::findRunMode("legacy"), nullptr);
+    EXPECT_THROW(driver::runMode("legacy"), std::invalid_argument);
 }
 
 // --- Report registry -------------------------------------------------

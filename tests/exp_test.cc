@@ -26,6 +26,7 @@
 #include "exp/json.hh"
 #include "exp/pareto.hh"
 #include "exp/spec.hh"
+#include "support/option_rows.hh"
 #include "util/task_pool.hh"
 
 namespace fs = std::filesystem;
@@ -176,7 +177,7 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
 {
     auto parsed = exp::parseSpecText(
         "workload  = pi\n"
-        "mode      = detailed, timing, legacy, functional, sampled\n"
+        "mode      = detailed, timing, mpki, functional, sampled\n"
         "sample-interval = 50000\n"
         "sample-warmup   = 5000\n"
         "sample-measure  = 2000\n"
@@ -188,11 +189,12 @@ TEST(ExpSpec, ExecutionModesExpandAndKeySeparately)
     ASSERT_EQ(grid.points.size(), 5u);
     EXPECT_EQ(grid.points[0].mode, "detailed");
     EXPECT_EQ(grid.points[1].mode, "detailed");  // timing alias
-    EXPECT_EQ(grid.points[2].mode, "legacy");
+    EXPECT_EQ(grid.points[2].mode, "detailed");  // mpki: detailed core,
+    EXPECT_TRUE(grid.points[2].functional);      // predictor fidelity
     EXPECT_EQ(grid.points[3].mode, "functional");
     EXPECT_EQ(grid.points[4].mode, "sampled");
-    for (const auto &pt : grid.points)
-        EXPECT_FALSE(pt.functional);
+    for (size_t i : {0, 1, 3, 4})
+        EXPECT_FALSE(grid.points[i].functional) << i;
 
     // Sampling parameters attach to sampled points only.
     EXPECT_EQ(grid.points[4].sampleInterval, 50000u);
@@ -784,6 +786,43 @@ TEST(ExpCli, ShardFlagValidation)
         exp::CliOptions o;
         EXPECT_NE(parse(extra, o), "") << extra.back();
     }
+}
+
+TEST(ExpCli, EveryRowParsesAndIsInTheHelp)
+{
+    exp::CliOptions o;
+    testsupport::expectEveryRowParses(
+        exp::cliOptions(o), exp::usageText(),
+        {{"--spec", "bench/standard.spec"},
+         {"--workloads", "pi,dop"},
+         {"--predictors", "tournament"},
+         {"--variants", "marked,cfd"},
+         {"--widths", "4,8"},
+         {"--modes", "timing,mpki,sampled"},
+         {"--pbs", "off,on"},
+         {"--scales", "1000"},
+         {"--sample-grid", "40000/10000/5000"},
+         {"--out", "r.json"},
+         {"--csv", "r.csv"},
+         {"--cache-dir", "cache"},
+         {"--shard", "1/2"},
+         {"--report", "fig07"},
+         {"--trace", "t.json"},
+         {"--metrics", "m.json"},
+         {"--manifest", "run.json"},
+         {"--telemetry", "ts.jsonl"}});
+
+    // Axis flags reach the spec in command-line order.
+    exp::CliOptions axes;
+    ASSERT_EQ(exp::parseCli({"--seed", "7", "--div=3", "--workload", "pi",
+                             "--sample-interval", "9000"},
+                            axes),
+              "");
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {"seed", "7"}, {"div", "3"}, {"workload", "pi"},
+        {"sample-interval", "9000"}};
+    EXPECT_EQ(axes.axes, want);
+    EXPECT_EQ(axes.divisor, 3u);
 }
 
 TEST_F(ExpCacheTest, PointCostReflectsSampleParameters)
