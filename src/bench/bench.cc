@@ -240,9 +240,8 @@ runBench(const std::vector<BenchPoint> &points, const BenchConfig &cfg)
             obs::Span span("point", pt.workload + " " + pt.predictor +
                                         " " + pt.mode);
             std::vector<double> repMs;
-            repMs.reserve(std::max(1u, cfg.repeats));
-            for (unsigned rep = 0;
-                 rep < std::max(1u, cfg.repeats); rep++) {
+            repMs.reserve(cfg.repeats);
+            for (unsigned rep = 0; rep < cfg.repeats; rep++) {
                 // Simulated-MIPS measures *simulation*: program
                 // emission, predecode and table construction happen
                 // outside the timed region (they are per-point

@@ -77,7 +77,7 @@ main(int argc, char **argv)
         util::section("Timing and the baseline gate:"),
         util::jobsOption(&cfg.jobs),
         util::value({"--repeats"}, &cfg.repeats, "<n>",
-                    "timing repetitions per point (best kept)"),
+                    "timing repetitions per point (best kept)", 1),
         util::value({"--out"}, &out, "<file>",
                     "write the pbs-bench-v2 JSON artifact"),
         util::value({"--baseline"}, &baseline, "<file>",
@@ -141,8 +141,7 @@ main(int argc, char **argv)
 
     std::fprintf(stderr,
                  "pbs_bench: %zu points, div %u, %u job(s), %u repeat(s)\n",
-                 points.size(), cfg.divisor, cfg.jobs,
-                 std::max(1u, cfg.repeats));
+                 points.size(), cfg.divisor, cfg.jobs, cfg.repeats);
 
     const auto results = bench::runBench(points, cfg);
 

@@ -24,20 +24,17 @@ namespace {
 /**
  * Enforce a per-cycle event-count limit: returns a cycle >= atLeast with
  * fewer than @p width events already booked, keeping @p lastCycle
- * monotonic.
+ * monotonic. Written without data-dependent branches: the timing
+ * replay runs it three times per instruction.
  */
-uint64_t
+inline uint64_t
 bandwidthLimit(uint64_t &lastCycle, unsigned &count, unsigned width,
                uint64_t atLeast)
 {
     uint64_t c = std::max(atLeast, lastCycle);
-    if (c == lastCycle && count >= width)
-        c++;
-    if (c != lastCycle) {
-        lastCycle = c;
-        count = 0;
-    }
-    count++;
+    c += (c == lastCycle) & (count >= width);
+    count = c == lastCycle ? count + 1 : 1;
+    lastCycle = c;
     return c;
 }
 
@@ -58,16 +55,18 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg)
     pbs_.setEnabled(cfg_.pbsEnabled);
     pc_ = prog_.entry;
 
-    // The mpki fidelity on the predecoded path runs on the superblock
-    // executor. Prob ops stay outside its blocks: stepOneOn owns PBS
-    // steering, so they single-step through it.
-    if (cfg_.mode == SimMode::Functional &&
-        cfg_.execPath == ExecPath::Decoded) {
+    // Both fidelities on the predecoded path run on the superblock
+    // executor; the timing fidelity replays its timing per batch. Prob
+    // ops stay outside the blocks: stepOneOn owns PBS steering, which
+    // needs the exact fetch cycle, so they single-step through it.
+    if (cfg_.execPath == ExecPath::Decoded) {
         dispatch_ = exec::defaultFuncDispatch();
         if (dispatch_ != exec::FuncDispatch::Switch) {
             sb_ = std::make_unique<exec::SuperblockImage>(
                 exec::SuperblockImage::build(image_,
                                              /*excludeProbOps=*/true));
+            if (cfg_.mode == SimMode::Timing)
+                batch_ = std::make_unique<Batch>();
         }
     }
 
@@ -264,63 +263,47 @@ Core::opProbJmpPc(const Instruction &, uint64_t pc) const
     return it != probJmpOf_.end() ? it->second : pc;
 }
 
-uint64_t
-Core::fetchTiming(uint64_t pc)
+inline uint64_t
+Core::fetchStep(Pipe &p, uint64_t pc)
 {
-    uint64_t at_least = std::max(fetchCycle_, frontendReadyAt_);
-    uint64_t f = bandwidthLimit(fetchCycle_, fetchedInCycle_, cfg_.width,
-                                at_least);
+    uint64_t at_least = std::max(p.fetchCycle, p.frontendReadyAt);
+    uint64_t f = bandwidthLimit(p.fetchCycle, p.fetchedInCycle,
+                                cfg_.width, at_least);
 
     // I-cache: charge extra latency when entering a new line.
     uint64_t byte_addr = kTextBase + pc * 8;
     uint64_t line = byte_addr >> 6;
-    if (line != lastFetchLine_) {
-        lastFetchLine_ = line;
+    if (line != p.lastFetchLine) {
+        p.lastFetchLine = line;
         unsigned latency = hierarchy_.instAccess(byte_addr);
         hierarchy_.instPrefetch(byte_addr + 64);  // next-line prefetch
         unsigned hit = cfg_.memory.l1i.hitLatency;
         if (latency > hit) {
             f += latency - hit;
-            fetchCycle_ = f;
-            fetchedInCycle_ = 1;
+            p.fetchCycle = f;
+            p.fetchedInCycle = 1;
         }
     }
     return f;
 }
 
-std::pair<uint64_t, uint64_t>
-Core::issueOn(FuKind cls, unsigned latency, bool pipelined,
-              uint64_t ready)
-{
-    auto &units = fuFreeAt_[size_t(cls)];
-    size_t best = 0;
-    for (size_t i = 1; i < units.size(); i++) {
-        if (units[i] < units[best])
-            best = i;
-    }
-    uint64_t issue = std::max(ready, units[best]);
-    units[best] = issue + (pipelined ? 1 : latency);
-    return {issue, issue + latency};
-}
-
-uint64_t
-Core::finishTiming(const FuSpec &spec, const uint8_t *srcs,
-                   uint64_t fetch, uint64_t memLatency)
+inline uint64_t
+Core::issueStep(Pipe &p, const FuSpec &spec, const uint8_t *srcs,
+                uint64_t fetch, uint64_t memLatency)
 {
     // Dispatch: frontend depth, dispatch bandwidth, ROB occupancy.
-    uint64_t d = bandwidthLimit(lastDispatchCycle_, dispatchedInCycle_,
+    uint64_t d = bandwidthLimit(p.lastDispatchCycle, p.dispatchedInCycle,
                                 cfg_.width, fetch + cfg_.frontendDepth);
-    // commitRing_[robSlot_] holds the commit cycle of the instruction
-    // robSize before this one (robSlot_ walks the ring once per
-    // instruction, replacing a div-heavy `n % robSize`).
-    if (stats_.instructions >= cfg_.robSize)
-        d = std::max(d, commitRing_[robSlot_] + 1);
+    // commitRing_[robSlot] holds the commit cycle of the instruction
+    // robSize before this one, once there is one.
+    if (p.robFull)
+        d = std::max(d, commitRing_[p.robSlot] + 1);
 
     // Fetch backpressure: a bounded fetch queue keeps fetch from running
     // arbitrarily ahead of dispatch.
     uint64_t slack = cfg_.frontendDepth + 2 * cfg_.width;
     if (d > slack)
-        fetchCycle_ = std::max(fetchCycle_, d - slack);
+        p.fetchCycle = std::max(p.fetchCycle, d - slack);
 
     // Register dependences (renaming = last-writer tracking). The
     // source array is always padded to 3 entries with REG_ZERO, and
@@ -331,11 +314,63 @@ Core::finishTiming(const FuSpec &spec, const uint8_t *srcs,
     ready = std::max(ready, regReady_[srcs[1]]);
     ready = std::max(ready, regReady_[srcs[2]]);
 
-    unsigned latency = spec.latency + memLatency;
-    auto [issue, done] = issueOn(spec.cls, latency, spec.pipelined,
-                                 ready);
-    (void)issue;
-    return done;
+    // Issue on the earliest-free unit of the class (lowest index on a
+    // tie).
+    unsigned latency = unsigned(spec.latency + memLatency);
+    auto &units = fuFreeAt_[size_t(spec.cls)];
+    size_t best = 0;
+    for (size_t i = 1; i < units.size(); i++) {
+        if (units[i] < units[best])
+            best = i;
+    }
+    uint64_t issue = std::max(ready, units[best]);
+    units[best] = issue + (spec.pipelined ? 1 : latency);
+    return issue + latency;
+}
+
+inline void
+Core::redirect(Pipe &p, uint64_t resolveCycle) const
+{
+    p.frontendReadyAt = std::max(p.frontendReadyAt,
+                                 resolveCycle + cfg_.mispredictPenalty);
+}
+
+inline void
+Core::retireStep(Pipe &p, int dst, uint64_t fetch, uint64_t done,
+                 bool endsGroup)
+{
+    // Publish destination readiness for dependents.
+    if (dst > 0)
+        regReady_[dst] = done;
+
+    // At most one taken branch per fetch cycle: the next instruction
+    // starts a new fetch group.
+    if (endsGroup && p.fetchCycle <= fetch) {
+        p.fetchCycle = fetch + 1;
+        p.fetchedInCycle = 0;
+    }
+
+    uint64_t c = bandwidthLimit(p.lastCommitCycle, p.committedInCycle,
+                                cfg_.width, done + 1);
+    commitRing_[p.robSlot] = c;
+    if (++p.robSlot == cfg_.robSize) {
+        p.robSlot = 0;
+        p.robFull = true;
+    }
+}
+
+inline uint64_t
+Core::storeDepReady(uint64_t key) const
+{
+    const StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
+    if (ie.key == key) {
+        // Newest store to this address; expired = absent.
+        return storeSeq_ - ie.seq < kStoreQueueDepth ? ie.done : 0;
+    }
+    // A colliding key evicted this key's index entry: fall back to the
+    // exact scan. An empty slot means no store ever hashed here, so
+    // this address was never stored: absence proven.
+    return ie.key != kNoStoreKey ? scanStoreQueue(key) : 0;
 }
 
 uint64_t
@@ -350,39 +385,21 @@ Core::scanStoreQueue(uint64_t key) const
     return 0;
 }
 
-void
-Core::commitTiming(uint64_t done)
+inline void
+Core::pushStore(uint64_t key, uint64_t done)
 {
-    uint64_t c = bandwidthLimit(lastCommitCycle_, committedInCycle_,
-                                cfg_.width, done + 1);
-    commitRing_[robSlot_] = c;
-    if (++robSlot_ == cfg_.robSize)
-        robSlot_ = 0;
-    if (c > stats_.cycles)
-        stats_.cycles = c;
+    storeQueue_[storeHead_] = {key, done};
+    storeHead_ = (storeHead_ + 1) % kStoreQueueDepth;
+    if (storeCount_ < kStoreQueueDepth)
+        storeCount_++;
+    StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
+    ie.key = key;
+    ie.seq = ++storeSeq_;
+    ie.done = done;
 }
 
-void
-Core::redirect(uint64_t resolveCycle)
-{
-    frontendReadyAt_ = std::max(frontendReadyAt_,
-                                resolveCycle + cfg_.mispredictPenalty);
-}
-
-void
-Core::endFetchGroup(uint64_t fetchCycle)
-{
-    // At most one taken branch per fetch cycle: the next instruction
-    // starts a new fetch group.
-    if (fetchCycle_ <= fetchCycle) {
-        fetchCycle_ = fetchCycle + 1;
-        fetchedInCycle_ = 0;
-    }
-}
-
-void
-Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
-                      uint64_t doneCycle)
+bool
+Core::predictAndTrain(uint64_t pc, bool taken, bool isProb)
 {
     bool predicted;
     if (isProb && cfg_.filterProbFromPredictor) {
@@ -395,15 +412,14 @@ Core::predictAndTrain(uint64_t pc, bool taken, bool isProb,
         pred_->update(pc, taken);
     }
 
-    if (predicted != taken) {
-        stats_.mispredicts++;
-        if (isProb)
-            stats_.probMispredicts++;
-        else
-            stats_.regularMispredicts++;
-        if (cfg_.mode == SimMode::Timing)
-            redirect(doneCycle);
-    }
+    if (predicted == taken)
+        return false;
+    stats_.mispredicts++;
+    if (isProb)
+        stats_.probMispredicts++;
+    else
+        stats_.regularMispredicts++;
+    return true;
 }
 
 void
@@ -439,19 +455,28 @@ Core::step(uint64_t n)
 
 /**
  * Exactly the predictor and PBS context calls stepOneOn makes for
- * JZ/JNZ, JMP, CALL and RET, in the same order. The done cycle only
- * feeds the timing model's redirect, which the mpki fidelity skips.
+ * JZ/JNZ, JMP, CALL and RET, in the same order (the mpki fidelity's
+ * observer). The block, address and CFD hooks are the no-ops.
  */
-struct Core::BranchObserver
+struct Core::BranchObserver : exec::NoBranchObserver
 {
     Core &core;
+
+    explicit BranchObserver(Core &c) : core(c) {}
+
+    bool
+    cond(uint64_t pc, uint64_t target, bool taken)
+    {
+        const bool mispredicted = core.predictAndTrain(pc, taken, false);
+        if (core.cfg_.pbsEnabled)
+            core.pbs_.noteBranch(pc, target, taken);
+        return mispredicted;
+    }
 
     void
     onCond(uint64_t pc, uint64_t target, bool taken)
     {
-        core.predictAndTrain(pc, taken, false, 0);
-        if (core.cfg_.pbsEnabled)
-            core.pbs_.noteBranch(pc, target, taken);
+        cond(pc, target, taken);
     }
 
     void
@@ -476,6 +501,91 @@ struct Core::BranchObserver
     }
 };
 
+/**
+ * The timing fidelity's observer: the same predictor and PBS calls,
+ * plus the batch record replayTiming reads (every block entered, every
+ * LD/ST address, and every JZ/JNZ/CFD_JNZ outcome, in program order).
+ */
+struct Core::TimingObserver : BranchObserver
+{
+    Batch &rec;
+    uint32_t nBlocks = 0;
+    uint32_t nAddrs = 0;
+    uint32_t nOutcomes = 0;
+
+    TimingObserver(Core &c, Batch &b) : BranchObserver(c), rec(b) {}
+
+    void onBlock(const exec::Superblock &b) { rec.blocks[nBlocks++] = &b; }
+    void onMem(uint64_t ea) { rec.addrs[nAddrs++] = ea; }
+
+    void
+    onCond(uint64_t pc, uint64_t target, bool taken)
+    {
+        const bool mispredicted = cond(pc, target, taken);
+        rec.outcomes[nOutcomes++] =
+            uint8_t((taken ? kTaken : 0) |
+                    (mispredicted ? kMispredicted : 0));
+    }
+
+    void
+    onCfd(bool taken)
+    {
+        rec.outcomes[nOutcomes++] = taken ? kTaken : 0;
+    }
+};
+
+void
+Core::replayTiming(const TimingObserver &obs)
+{
+    Pipe p = pipe_;
+    const DecodedOp *ops = image_.ops().data();
+    const uint64_t *addr = obs.rec.addrs.data();
+    const uint8_t *outcome = obs.rec.outcomes.data();
+    for (uint32_t k = 0; k < obs.nBlocks; k++) {
+        const exec::Superblock &b = *obs.rec.blocks[k];
+        for (uint64_t pc = b.fall - b.instCount; pc < b.fall; pc++) {
+            const DecodedOp &op = ops[pc];
+            const uint64_t f = fetchStep(p, pc);
+            uint64_t key = 0;
+            uint64_t memLat = 0;
+            uint64_t depReady = 0;
+            if (op.isLoad() || op.isStore()) {
+                const uint64_t ea = *addr++;
+                key = ea >> 3;
+                memLat = op.isLoad() ? hierarchy_.dataAccess(ea) : 0;
+                depReady = storeDepReady(key);
+            }
+            const uint64_t done = std::max(
+                issueStep(p, opFuSpec(*this, op), op.srcs, f, memLat),
+                depReady);
+
+            bool endsGroup = false;
+            switch (op.op) {
+              case Opcode::JZ:
+              case Opcode::JNZ:
+                if (*outcome & kMispredicted)
+                    redirect(p, done);
+                [[fallthrough]];
+              case Opcode::CFD_JNZ:
+                endsGroup = *outcome++ & kTaken;
+                break;
+              case Opcode::JMP:
+              case Opcode::CALL:
+              case Opcode::RET:
+                endsGroup = true;
+                break;
+              default:
+                break;
+            }
+            if (op.isStore())
+                pushStore(key, done);
+            retireStep(p, op.destReg(), f, done, endsGroup);
+        }
+    }
+    pipe_ = p;
+    stats_.cycles = p.lastCommitCycle;
+}
+
 uint64_t
 Core::stepSuper(uint64_t n)
 {
@@ -485,29 +595,37 @@ Core::stepSuper(uint64_t n)
     ctx.mem = &mem_;
     ctx.probSeq = probSeq_.data();
     ctx.halted = &halted_;
-    BranchObserver observer{*this};
 
     uint64_t executed = 0;
     while (!halted_ && executed < n) {
         const uint32_t bi = sb.blockAt(pc_);
+        // A timing core's run is bounded by its batch record.
+        const uint64_t budget =
+            batch_ ? std::min(n - executed, kBatch) : n - executed;
         if (bi != exec::SuperblockImage::kNoBlock &&
-            sb.blocks()[bi].instCount <= n - executed) {
+            sb.blocks()[bi].instCount <= budget) {
             // Chain whole blocks while they fit the budget. They hold
             // no prob ops, so only the branch counter moves.
-            const uint64_t k =
-                exec::sbExec(dispatch_, sb, pc_, n - executed, ctx,
-                             observer);
+            uint64_t k;
+            if (batch_) {
+                TimingObserver obs(*this, *batch_);
+                k = exec::sbExec(dispatch_, sb, pc_, budget, ctx, obs);
+                replayTiming(obs);
+            } else {
+                BranchObserver obs(*this);
+                k = exec::sbExec(dispatch_, sb, pc_, budget, ctx, obs);
+            }
             executed += k;
             stats_.instructions += k;
-            stats_.cycles = stats_.instructions;
+            if (!batch_)
+                stats_.cycles = stats_.instructions;
             stats_.branches += ctx.branches;
             ctx.branches = 0;
             pc_ = ctx.next;
         } else {
             // Prob ops, epilogues and mid-block entries: one
             // instruction through stepOneOn, which keeps the PBS fetch
-            // "cycle" (stats_.instructions) exact and throws on a PC
-            // out of range.
+            // cycle exact and throws on a PC out of range.
             stepOne();
             executed++;
         }
@@ -535,7 +653,8 @@ Core::stepOneOn(const Op &inst)
     uint64_t next_pc = pc_ + 1;
 
     const bool timing = cfg_.mode == SimMode::Timing;
-    uint64_t f = timing ? fetchTiming(this_pc) : stats_.instructions;
+    Pipe &p = pipe_;
+    uint64_t f = timing ? fetchStep(p, this_pc) : stats_.instructions;
     auto func_done = [&] { return f + cfg_.functionalExecDelay; };
 
     // The PBS steering decision happens at fetch: query the engine
@@ -547,9 +666,9 @@ Core::stepOneOn(const Op &inst)
         prob_fetch = pbs_.onProbCmpFetch(jmp_pc, f);
         if (prob_fetch->stallCycles > 0 && timing) {
             f += prob_fetch->stallCycles;
-            if (fetchCycle_ < f) {
-                fetchCycle_ = f;
-                fetchedInCycle_ = 1;
+            if (p.fetchCycle < f) {
+                p.fetchCycle = f;
+                p.fetchedInCycle = 1;
             }
         }
     }
@@ -570,22 +689,10 @@ Core::stepOneOn(const Op &inst)
             // index; the legacy reference path keeps the plain ring
             // scan, so the differential suites verify the index
             // against the scan on every load.
-            if constexpr (std::is_same_v<Op, DecodedOp>) {
-                const StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
-                if (ie.key == key) {
-                    // Newest store to this address; expired = absent.
-                    if (storeSeq_ - ie.seq < kStoreQueueDepth)
-                        mem_dep_ready = ie.done;
-                } else if (ie.key != kNoStoreKey) {
-                    // Collision evicted this key's index entry: fall
-                    // back to the exact scan.
-                    mem_dep_ready = scanStoreQueue(key);
-                }
-                // ie.key == kNoStoreKey: no store ever hashed here,
-                // so this address was never stored — absence proven.
-            } else {
+            if constexpr (std::is_same_v<Op, DecodedOp>)
+                mem_dep_ready = storeDepReady(key);
+            else
                 mem_dep_ready = scanStoreQueue(key);
-            }
         }
     }
 
@@ -595,8 +702,8 @@ Core::stepOneOn(const Op &inst)
     if (timing) {
         std::array<uint8_t, 3> srcs{};  // REG_ZERO-padded
         opSrcRegs(inst, srcs);
-        done = finishTiming(opFuSpec(*this, inst), srcs.data(), f,
-                            mem_lat);
+        done = issueStep(p, opFuSpec(*this, inst), srcs.data(), f,
+                         mem_lat);
         if (mem_dep_ready > done)
             done = mem_dep_ready;
     } else {
@@ -759,7 +866,8 @@ Core::stepOneOn(const Op &inst)
         bool nonzero = readReg(inst.rs1) != 0;
         bool taken = inst.op == Opcode::JNZ ? nonzero : !nonzero;
         stats_.branches++;
-        predictAndTrain(this_pc, taken, false, done);
+        if (predictAndTrain(this_pc, taken, false) && timing)
+            redirect(p, done);
         if (cfg_.pbsEnabled)
             pbs_.noteBranch(this_pc, static_cast<uint64_t>(inst.imm),
                             taken);
@@ -868,12 +976,14 @@ Core::stepOneOn(const Op &inst)
                 // Direction known at fetch: no prediction, no penalty.
             } else {
                 taken = grp.condNew;
-                predictAndTrain(this_pc, taken, true, done);
+                if (predictAndTrain(this_pc, taken, true) && timing)
+                    redirect(p, done);
             }
         } else {
             // PBS disabled: behaves as JNZ on the condition register.
             taken = readReg(inst.rs1) != 0;
-            predictAndTrain(this_pc, taken, true, done);
+            if (predictAndTrain(this_pc, taken, true) && timing)
+                redirect(p, done);
         }
         if (cfg_.traceProbBranches) {
             probTrace_.push_back({inst.probId, self_seq, consumed_seq,
@@ -895,24 +1005,10 @@ Core::stepOneOn(const Op &inst)
     }
 
     if (timing) {
-        // Publish destination readiness for dependents.
-        int dst = inst.destReg();
-        if (dst > 0)
-            regReady_[dst] = done;
-        if (inst.isStore()) {
-            uint64_t key = ea >> 3;
-            storeQueue_[storeHead_] = {key, done};
-            storeHead_ = (storeHead_ + 1) % kStoreQueueDepth;
-            if (storeCount_ < kStoreQueueDepth)
-                storeCount_++;
-            StoreIdxEntry &ie = storeIdx_[storeIdxSlot(key)];
-            ie.key = key;
-            ie.seq = ++storeSeq_;
-            ie.done = done;
-        }
-        if (ends_group)
-            endFetchGroup(f);
-        commitTiming(done);
+        if (inst.isStore())
+            pushStore(ea >> 3, done);
+        retireStep(p, inst.destReg(), f, done, ends_group);
+        stats_.cycles = p.lastCommitCycle;
     }
 
     stats_.instructions++;

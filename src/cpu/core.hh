@@ -22,19 +22,28 @@
  * The hot loop runs from a predecoded @ref isa::DecodedImage: operands,
  * branch targets, FU classes and per-PC PBS metadata are resolved once
  * at construction, and the steady-state loop performs no heap
- * allocation (fixed rings and flat tables replace the per-instruction
- * container churn). In the mpki fidelity (SimMode::Functional) the
- * predecoded path runs on the superblock executor the functional
- * engine uses (exec/superblock.hh), with the direction predictor and
- * the PBS context notes attached as its branch observer; prob ops stay
- * outside the blocks and single-step through the same per-instruction
- * step as the timing fidelity, which owns PBS steering. The original
- * interpretation straight out of @ref isa::Program is kept selectable
- * via CoreConfig::execPath as the differential-testing reference for
- * both fidelities; both paths produce bit-identical architectural
- * state, statistics and traces (tests/predecode_equiv_test.cc,
- * tests/mpki_equiv_test.cc). `PBS_FUNC_DISPATCH` selects the mpki
- * executor's backend as it does the functional engine's: `switch`
+ * allocation (fixed rings, flat tables and a batch record allocated at
+ * construction replace the per-instruction container churn). Both
+ * fidelities run the predecoded path on the superblock executor the
+ * functional engine uses (exec/superblock.hh):
+ *  - mpki (SimMode::Functional): the direction predictor and the PBS
+ *    context notes are its branch observer;
+ *  - timing (SimMode::Timing): the same observer also records every
+ *    block entered, every LD/ST address and every JZ/JNZ/CFD_JNZ
+ *    outcome (taken, mispredicted), and after each run of at most
+ *    kBatch instructions replayTiming times those instructions in
+ *    program order, with the pipeline cursor (Pipe) in a local.
+ * Prob ops stay outside the blocks and single-step through stepOneOn,
+ * which owns PBS steering (it needs the exact fetch cycle). The timing
+ * equations exist once, as the inline per-instruction steps fetchStep,
+ * issueStep, redirect, pushStore and retireStep, which the replay and
+ * stepOneOn share. The original interpretation straight out of
+ * @ref isa::Program is kept selectable via CoreConfig::execPath as the
+ * differential-testing reference for both fidelities; both paths
+ * produce bit-identical architectural state, statistics, cache counts
+ * and traces (tests/predecode_equiv_test.cc,
+ * tests/mpki_equiv_test.cc). `PBS_FUNC_DISPATCH` selects the core's
+ * executor backend as it does the functional engine's: `switch`
  * single-steps every instruction, `superblock-portable` forces the
  * function-pointer trampoline.
  */
@@ -130,11 +139,14 @@ class Core
     static bool evalCmp(isa::CmpOp op, uint64_t a, uint64_t b);
     void stepOne();
 
-    /** step(n) on the superblock executor (mpki fidelity, Decoded). */
+    /** step(n) on the superblock executor (Decoded cores). */
     uint64_t stepSuper(uint64_t n);
 
     /** The predictor and PBS notes as the executor's branch observer. */
     struct BranchObserver;
+
+    /** BranchObserver plus the batch record the timing replay reads. */
+    struct TimingObserver;
 
     /**
      * One instruction on either execution path. @tparam Op is
@@ -144,7 +156,7 @@ class Core
      */
     template <class Op> void stepOneOn(const Op &inst);
 
-    // --- timing helpers ---
+    // --- timing model ---
     struct FuSpec
     {
         isa::FuKind cls;
@@ -152,25 +164,72 @@ class Core
         bool pipelined;
     };
 
+    /**
+     * The pipeline cursor of the timing model: everything the
+     * per-instruction steps below read and write besides the register
+     * scoreboard, the FU pools, the ROB ring and the store queue. The
+     * block replay copies it into a local for a whole batch.
+     */
+    struct Pipe
+    {
+        uint64_t fetchCycle = 0;
+        uint64_t frontendReadyAt = 0;    ///< redirect gate
+        uint64_t lastDispatchCycle = 0;
+        uint64_t lastCommitCycle = 0;    ///< == stats_.cycles (monotonic)
+        uint64_t lastFetchLine = ~uint64_t(0);
+        unsigned fetchedInCycle = 0;
+        unsigned dispatchedInCycle = 0;
+        unsigned committedInCycle = 0;
+        unsigned robSlot = 0;            ///< ring cursor (== n % robSize)
+        bool robFull = false;            ///< n >= robSize
+    };
+
+    // The timing equations, once: stepOneOn and replayTiming both call
+    // these per instruction, in this order: fetchStep, the data access
+    // (dataAccess, then storeDepReady or the legacy scanStoreQueue),
+    // issueStep, redirect on a mispredict, pushStore, retireStep. They
+    // are forced inline so a caller's Pipe stays in registers.
+
+    /** Fetch bandwidth, the redirect gate and the I-cache line charge.
+     *  @return the fetch cycle. */
+    [[gnu::always_inline]] uint64_t fetchStep(Pipe &p, uint64_t pc);
+    /** Dispatch (bandwidth, ROB), register dependences and FU issue;
+     *  @p srcs must point at 3 REG_ZERO-padded source registers.
+     *  @return the completion cycle. */
+    [[gnu::always_inline]] uint64_t issueStep(Pipe &p, const FuSpec &spec,
+                                              const uint8_t *srcs,
+                                              uint64_t fetch,
+                                              uint64_t memLatency);
+    [[gnu::always_inline]] void redirect(Pipe &p,
+                                         uint64_t resolveCycle) const;
+    /** Publish the destination, end the fetch group after taken
+     *  control flow, and commit. */
+    [[gnu::always_inline]] void retireStep(Pipe &p, int dst, uint64_t fetch,
+                                           uint64_t done, bool endsGroup);
+
     FuSpec fuSpecFor(const isa::Instruction &inst) const;
-    uint64_t fetchTiming(uint64_t pc);
-    std::pair<uint64_t, uint64_t> issueOn(isa::FuKind cls,
-                                          unsigned latency,
-                                          bool pipelined, uint64_t ready);
-    /** @p srcs must point at 3 REG_ZERO-padded source registers. */
-    uint64_t finishTiming(const FuSpec &spec, const uint8_t *srcs,
-                          uint64_t fetch, uint64_t memLatency);
 
-    /** Exact newest-first ring scan: completion cycle of the newest
-     *  queued store to @p key, or 0 when none is queued. */
+    /** Completion cycle of the newest queued store to @p key, or 0,
+     *  through the store index (predecoded path). */
+    [[gnu::always_inline]] uint64_t storeDepReady(uint64_t key) const;
+    /** Exact newest-first ring scan: the same answer without the
+     *  index (legacy reference path). */
     uint64_t scanStoreQueue(uint64_t key) const;
-    void commitTiming(uint64_t done);
-    void redirect(uint64_t resolveCycle);
-    void endFetchGroup(uint64_t fetchCycle);
+    [[gnu::always_inline]] void pushStore(uint64_t key, uint64_t done);
 
-    /** Resolve a conditional branch against the direction predictor. */
-    void predictAndTrain(uint64_t pc, bool taken, bool isProb,
-                         uint64_t doneCycle);
+    /**
+     * Resolve a conditional branch against the direction predictor and
+     * count a misprediction. @return true when it mispredicted (the
+     * timing model then redirects at the branch's completion).
+     */
+    bool predictAndTrain(uint64_t pc, bool taken, bool isProb);
+
+    /**
+     * Timing for the instructions the last executor run retired, in
+     * program order, from the DecodedOp static data plus the recorded
+     * effective addresses and branch outcomes.
+     */
+    void replayTiming(const TimingObserver &obs);
 
     // --- per-Op-representation accessors (predecoded vs legacy) ---
     static FuSpec opFuSpec(const Core &c, const isa::DecodedOp &op);
@@ -193,10 +252,30 @@ class Core
     uint64_t pc_ = 0;
     bool halted_ = false;
 
-    /** Superblock executor (mpki-fidelity Decoded cores only, else
-     *  null) and its backend. */
+    /** Superblock executor (Decoded cores unless PBS_FUNC_DISPATCH is
+     *  `switch`, else null) and its backend. */
     std::unique_ptr<exec::SuperblockImage> sb_;
     exec::FuncDispatch dispatch_ = exec::FuncDispatch::Switch;
+
+    /**
+     * Instructions one executor run may retire on a timing core: the
+     * bound of the batch record the replay reads. Every retired block
+     * holds at least one instruction, every LD/ST one address, and
+     * every JZ/JNZ/CFD_JNZ one outcome, so no record outgrows it.
+     */
+    static constexpr uint64_t kBatch = 1024;
+
+    /** The batch record, allocated at construction (timing cores on
+     *  the executor only). Outcome bits: kTaken, kMispredicted. */
+    struct Batch
+    {
+        std::array<const exec::Superblock *, kBatch> blocks;
+        std::array<uint64_t, kBatch> addrs;
+        std::array<uint8_t, kBatch> outcomes;
+    };
+    static constexpr uint8_t kTaken = 1;
+    static constexpr uint8_t kMispredicted = 2;
+    std::unique_ptr<Batch> batch_;
 
     // Timing state.
     mem::MemoryHierarchy hierarchy_;
@@ -213,15 +292,7 @@ class Core
     std::array<unsigned, size_t(isa::LatKind::NUM_LAT_KINDS)> latOf_{};
 
     std::vector<uint64_t> commitRing_;   ///< commit cycles, ROB window
-    unsigned robSlot_ = 0;               ///< ring cursor (== n % robSize)
-    uint64_t fetchCycle_ = 0;
-    unsigned fetchedInCycle_ = 0;
-    uint64_t frontendReadyAt_ = 0;       ///< redirect gate
-    uint64_t lastDispatchCycle_ = 0;
-    unsigned dispatchedInCycle_ = 0;
-    uint64_t lastCommitCycle_ = 0;
-    unsigned committedInCycle_ = 0;
-    uint64_t lastFetchLine_ = ~uint64_t(0);
+    Pipe pipe_;
 
     /**
      * Store queue: the last kStoreQueueDepth stores as (addr>>3, done)

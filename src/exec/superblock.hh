@@ -1,8 +1,8 @@
 /**
  * @file
  * Superinstruction blocks: the shared ISA executor behind the
- * functional fast-forward engine (sampling::FunctionalEngine) and the
- * mpki-fidelity cpu::Core.
+ * functional fast-forward engine (sampling::FunctionalEngine) and both
+ * fidelities of cpu::Core (mpki and timing).
  *
  * A per-instruction opcode switch pays one hard-to-predict indirect
  * branch plus loop bookkeeping per dynamic instruction. This module
@@ -19,10 +19,12 @@
  *    to block without leaving the dispatch loop, so the interpreter
  *    carries roughly one indirect branch per superop instead of the
  *    switch's per-instruction branch plus bounds checks;
- *  - control-flow terminators report each branch to a compile-time
- *    observer (exec/superblock_exec.hh): the functional engine passes
- *    a no-op one, the mpki core feeds its direction predictor and the
- *    PBS context notes through it.
+ *  - blocks entered, memory addresses and control-flow terminators
+ *    are reported to a compile-time observer (NoBranchObserver below;
+ *    exec/superblock_exec.hh): the functional engine passes a no-op
+ *    one, the core feeds its direction predictor and the PBS context
+ *    notes through it, and a timing core also records what its
+ *    per-batch timing replay reads.
  *
  * Block formation rules (see also docs/architecture.md):
  *  - blocks start only at leaders (DecodedOp::kIsLeader: the entry
@@ -138,16 +140,26 @@ struct SbCtx
 };
 
 /**
- * Branch observer that ignores every event (the functional engine's).
- * An observer's hooks run in program order at the terminator that
- * retires the branch, with the branch's own PC:
- *  - onCond(pc, target, taken): JZ/JNZ, fused or not;
+ * Observer that ignores every event (the functional engine's). An
+ * observer's hooks are compile-time calls that run in program order:
+ *  - onBlock(block): each block entered, before its first handler;
+ *  - onMem(ea): each LD/LDB/ST/STB's effective address, before the
+ *    access;
+ *  - onCond(pc, target, taken): JZ/JNZ, fused or not, at the
+ *    terminator that retires it, with the branch's own PC;
+ *  - onCfd(taken): CFD_JNZ's direction (it is never predicted);
  *  - onJump(pc, target), onCall(pc), onReturn(): JMP, CALL, RET.
- * CFD_JNZ and the prob ops report nothing.
+ * The prob ops report nothing. The mpki core's observer (the direction
+ * predictor and the PBS context notes) uses the branch hooks; the
+ * timing core's adds a record of blocks, addresses and branch outcomes
+ * from which cpu::Core replays its timing model after each run.
  */
 struct NoBranchObserver
 {
+    void onBlock(const Superblock &) {}
+    void onMem(uint64_t) {}
     void onCond(uint64_t, uint64_t, bool) {}
+    void onCfd(bool) {}
     void onJump(uint64_t, uint64_t) {}
     void onCall(uint64_t) {}
     void onReturn() {}

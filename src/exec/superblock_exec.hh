@@ -1,7 +1,7 @@
 /**
  * @file
- * The superblock dispatch backends, templated on a branch observer
- * (see NoBranchObserver in exec/superblock.hh for the hooks). Include
+ * The superblock dispatch backends, templated on an observer (see
+ * NoBranchObserver in exec/superblock.hh for the hooks). Include
  * this header only where an executor is instantiated: it expands
  * superblock_ops.inc into handler code.
  *
@@ -112,6 +112,7 @@ sbExecPortable(const SuperblockImage &img, uint64_t pc, uint64_t budget,
     uint64_t executed = 0;
     const Superblock *b = &blocks[blockAt[pc]];
     while (true) {
+        obs.onBlock(*b);
         executed += b->instCount;
         ctx.fall = b->fall;
         const SuperOp *op = &sops[b->first];
@@ -154,6 +155,7 @@ sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
     const uint64_t pcLimit = img.pcLimit();
 
     const Superblock *b = &blocks[blockAt[pc]];
+    obs.onBlock(*b);
     uint64_t executed = b->instCount;
     ctx.fall = b->fall;
     const SuperOp *op = &sops[b->first];
@@ -180,6 +182,7 @@ sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
         if (bi != SuperblockImage::kNoBlock) {
             b = &blocks[bi];
             if (executed + b->instCount <= budget) {
+                obs.onBlock(*b);
                 executed += b->instCount;
                 ctx.fall = b->fall;
                 op = &sops[b->first];
@@ -187,7 +190,6 @@ sbExecThreaded(const SuperblockImage &img, uint64_t pc, uint64_t budget,
             }
         }
     }
-    (void)obs;
     return executed;
 }
 

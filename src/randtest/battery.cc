@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 #include "randtest/pvalue.hh"
 
@@ -153,7 +155,13 @@ double
 testPermutation(const double *v, size_t n, unsigned t)
 {
     // Order patterns of consecutive non-overlapping t-tuples must be
-    // uniform over t! permutations.
+    // uniform over t! permutations. idx holds one tuple, so t <= 8.
+    std::array<unsigned, 8> idx{};
+    if (t < 2 || t > idx.size()) {
+        throw std::invalid_argument("testPermutation: tuple size " +
+                                    std::to_string(t) +
+                                    " is outside 2..8");
+    }
     size_t groups = n / t;
     unsigned fact = 1;
     for (unsigned i = 2; i <= t; i++)
@@ -161,7 +169,6 @@ testPermutation(const double *v, size_t n, unsigned t)
     if (groups < 8ull * fact)
         return 1.0;
     std::vector<uint64_t> count(fact, 0);
-    std::array<unsigned, 8> idx{};
     for (size_t g = 0; g < groups; g++) {
         const double *tuple = v + g * t;
         for (unsigned i = 0; i < t; i++)

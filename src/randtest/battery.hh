@@ -62,6 +62,8 @@ double testRunsAboveBelow(const double *v, size_t n);
 double testSerialCorrelation(const double *v, size_t n, unsigned lag);
 double testGap(const double *v, size_t n, double lo, double hi);
 double testMaxOfT(const double *v, size_t n, unsigned t);
+/** Order patterns of consecutive t-tuples, t in 2..8.
+ *  @throws std::invalid_argument for any other t. */
 double testPermutation(const double *v, size_t n, unsigned t);
 double testCouponCollector(const double *v, size_t n, unsigned d);
 double testMean(const double *v, size_t n);

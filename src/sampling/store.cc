@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -22,14 +23,6 @@ namespace {
 fail(const std::string &what)
 {
     throw std::runtime_error("checkpoint store: " + what);
-}
-
-std::string
-checkpointFileName(size_t index)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "ckpt-%06zu.pbsckpt", index);
-    return buf;
 }
 
 void
@@ -133,6 +126,17 @@ loadEntry(const fs::path &dir, const FileEntry &e)
 }
 
 }  // namespace
+
+std::string
+checkpointFileName(size_t index)
+{
+    // Room for the largest index: digits10 + 1 digits, plus the fixed
+    // text and its terminator.
+    char buf[sizeof("ckpt-.pbsckpt") +
+             std::numeric_limits<size_t>::digits10 + 1];
+    std::snprintf(buf, sizeof(buf), "ckpt-%06zu.pbsckpt", index);
+    return buf;
+}
 
 std::string
 storeKeyJson(const StoreKey &key)

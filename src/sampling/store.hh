@@ -50,6 +50,10 @@ inline constexpr const char *kStoreSchema = "pbs-ckpt-set-v1";
 /** The manifest file name inside a checkpoint-set directory. */
 inline constexpr const char *kStoreManifest = "manifest.json";
 
+/** The file name of interval @p index's checkpoint in a set directory
+ *  (`ckpt-NNNNNN.pbsckpt`, at least six digits, any size_t). */
+std::string checkpointFileName(size_t index);
+
 /**
  * Everything a checkpoint set's contents depend on. Two runs with
  * equal keys capture bit-identical sets; any field difference yields a

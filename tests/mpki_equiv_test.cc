@@ -1,15 +1,19 @@
 /**
  * @file
- * Differential harness for the mpki-fidelity core (SimMode::Functional):
- * the predecoded path — superblock executor with the predictor and the
- * PBS context notes as its branch observer, prob ops single-stepped —
- * must match the ExecPath::LegacyProgram oracle in every statistic,
- * PBS counter, prob-trace entry, register and memory byte. Covered:
- * 240 fuzzed programs from the shared generator under random step(n)
- * schedules, PBS off and on, under every PBS_FUNC_DISPATCH backend;
- * exact stops at CoreConfig::maxInstructions; the out-of-range-PC
- * throw; and the JMP/CALL/RET/CFD_JNZ/carrier hooks the generator does
- * not emit.
+ * Differential harness for the superblock-executor cores: the
+ * predecoded path must match the ExecPath::LegacyProgram oracle in
+ * every statistic (cycles included), cache counter, PBS counter,
+ * prob-trace entry, register and memory byte. Two fidelities run on
+ * that path: mpki (SimMode::Functional; the predictor and the PBS
+ * context notes are the executor's branch observer) and timing
+ * (SimMode::Timing; the observer also records blocks, addresses and
+ * branch outcomes, and the core replays its timing model per batch).
+ * Prob ops single-step in both. Covered, for both fidelities: 240
+ * fuzzed programs from the shared generator under random step(n)
+ * schedules (long chunks cross the timing batch bound), PBS off and
+ * on, under every PBS_FUNC_DISPATCH backend; exact stops at
+ * CoreConfig::maxInstructions; the out-of-range-PC throw; and the
+ * JMP/CALL/RET/CFD_JNZ/carrier hooks the generator does not emit.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +22,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -51,11 +56,21 @@ class ScopedDispatch
     ~ScopedDispatch() { unsetenv("PBS_FUNC_DISPATCH"); }
 };
 
+/** Both fidelities that run on the executor. */
+constexpr cpu::SimMode kModes[] = {cpu::SimMode::Functional,
+                                   cpu::SimMode::Timing};
+
+const char *
+modeName(cpu::SimMode mode)
+{
+    return mode == cpu::SimMode::Timing ? "timing" : "mpki";
+}
+
 cpu::CoreConfig
-mpkiConfig(const char *predictor, bool pbs)
+coreConfig(cpu::SimMode mode, const char *predictor, bool pbs)
 {
     cpu::CoreConfig cfg;
-    cfg.mode = cpu::SimMode::Functional;
+    cfg.mode = mode;
     cfg.predictor = predictor;
     cfg.pbsEnabled = pbs;
     cfg.traceProbBranches = true;
@@ -84,19 +99,29 @@ makeCores(const isa::Program &prog, cpu::CoreConfig cfg)
     return set;
 }
 
-/** Full diff: statistics, PBS counters, trace, architectural state. */
+/** Full diff: statistics, cache and PBS counters, trace,
+ *  architectural state. */
 void
 expectSameCore(const cpu::Core &ref, const cpu::Core &got,
                const std::string &what)
 {
     const cpu::CoreStats &a = ref.stats(), &b = got.stats();
     EXPECT_TRUE(a == b) << what << ": instructions " << a.instructions
-                        << "/" << b.instructions << ", branches "
+                        << "/" << b.instructions << ", cycles "
+                        << a.cycles << "/" << b.cycles << ", branches "
                         << a.branches << "/" << b.branches
                         << ", mispredicts " << a.mispredicts << "/"
                         << b.mispredicts << ", steered "
                         << a.steeredBranches << "/" << b.steeredBranches;
     EXPECT_TRUE(ref.pbs().stats() == got.pbs().stats()) << what;
+
+    const mem::MemoryHierarchy &ca = ref.caches(), &cb = got.caches();
+    EXPECT_EQ(ca.l1i().hits(), cb.l1i().hits()) << what;
+    EXPECT_EQ(ca.l1i().misses(), cb.l1i().misses()) << what;
+    EXPECT_EQ(ca.l1d().hits(), cb.l1d().hits()) << what;
+    EXPECT_EQ(ca.l1d().misses(), cb.l1d().misses()) << what;
+    EXPECT_EQ(ca.l2().hits(), cb.l2().hits()) << what;
+    EXPECT_EQ(ca.l2().misses(), cb.l2().misses()) << what;
 
     const auto &ta = ref.probTrace(), &tb = got.probTrace();
     ASSERT_EQ(ta.size(), tb.size()) << what;
@@ -119,26 +144,35 @@ expectSameCore(const cpu::Core &ref, const cpu::Core &got,
 
 // ---------------------------------------------------------------------
 // Fuzzed programs: 60 rounds x 4 seeds (240 programs, the dispatch
-// fuzzer's distribution), PBS off and on, every backend in lockstep
-// with the oracle under one random step(n) schedule. Chunks are mostly
-// short, so block epilogues and prob-op single steps land at arbitrary
-// offsets, with occasional long ones that chain many blocks.
+// fuzzer's distribution) per fidelity, PBS off and on, every backend in
+// lockstep with the oracle under one random step(n) schedule. Chunks
+// are mostly short, so block epilogues and prob-op single steps land
+// at arbitrary offsets, with occasional long ones that chain many
+// blocks and cross the timing core's batch bound.
 // ---------------------------------------------------------------------
 
-class MpkiFuzz : public ::testing::TestWithParam<uint64_t> {};
+class MpkiFuzz
+    : public ::testing::TestWithParam<std::tuple<uint64_t, cpu::SimMode>>
+{
+  protected:
+    uint64_t seed() const { return std::get<0>(GetParam()); }
+    cpu::SimMode mode() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(MpkiFuzz, SteppedDecodedMatchesLegacy)
 {
-    rng::XorShift64Star rng(GetParam());
+    rng::XorShift64Star rng(seed());
     for (int round = 0; round < 60; round++) {
         const bool withProb = (rng.next() & 1) != 0;
         const isa::Program prog = randomProgram(rng, withProb);
         const char *predictor = kPredictors[round % 4];
         for (bool pbs : {false, true}) {
             const std::string what =
-                "seed " + std::to_string(GetParam()) + " round " +
+                std::string(modeName(mode())) + " seed " +
+                std::to_string(seed()) + " round " +
                 std::to_string(round) + (pbs ? " pbs" : " no-pbs");
-            CoreSet cores = makeCores(prog, mpkiConfig(predictor, pbs));
+            CoreSet cores =
+                makeCores(prog, coreConfig(mode(), predictor, pbs));
             cpu::Core &ref = *cores.legacy;
             while (!ref.halted()) {
                 const uint64_t chunk = rng.next() % 4 == 0
@@ -168,12 +202,13 @@ TEST_P(MpkiFuzz, SteppedDecodedMatchesLegacy)
 // min(limit, program length) with identical state.
 TEST_P(MpkiFuzz, RunStopsExactlyAtMaxInstructions)
 {
-    rng::XorShift64Star rng(GetParam() * 0x9e3779b97f4a7c15ull + 1);
+    rng::XorShift64Star rng(seed() * 0x9e3779b97f4a7c15ull + 1);
     for (int round = 0; round < 60; round++) {
         const bool withProb = (rng.next() & 1) != 0;
         const isa::Program prog = randomProgram(rng, withProb);
         const bool pbs = (round & 1) != 0;
-        cpu::CoreConfig cfg = mpkiConfig(kPredictors[round % 4], pbs);
+        cpu::CoreConfig cfg =
+            coreConfig(mode(), kPredictors[round % 4], pbs);
 
         cpu::Core full(prog, cfg);
         full.run();
@@ -182,9 +217,9 @@ TEST_P(MpkiFuzz, RunStopsExactlyAtMaxInstructions)
         cfg.maxInstructions = 1 + rng.next() % (length + 8);
 
         const std::string what =
-            "seed " + std::to_string(GetParam()) + " round " +
-            std::to_string(round) + " limit " +
-            std::to_string(cfg.maxInstructions);
+            std::string(modeName(mode())) + " seed " +
+            std::to_string(seed()) + " round " + std::to_string(round) +
+            " limit " + std::to_string(cfg.maxInstructions);
         CoreSet cores = makeCores(prog, cfg);
         cores.legacy->run();
         EXPECT_EQ(cores.legacy->stats().instructions,
@@ -197,12 +232,18 @@ TEST_P(MpkiFuzz, RunStopsExactlyAtMaxInstructions)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, MpkiFuzz,
-                         ::testing::Values(11, 42, 1234, 9999));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, MpkiFuzz,
+    ::testing::Combine(::testing::Values(11, 42, 1234, 9999),
+                       ::testing::ValuesIn(kModes)),
+    [](const ::testing::TestParamInfo<MpkiFuzz::ParamType> &info) {
+        return std::string(modeName(std::get<1>(info.param))) + "_" +
+               std::to_string(std::get<0>(info.param));
+    });
 
 // ---------------------------------------------------------------------
-// Control flow the generator never emits: JMP, CALL/RET, CFD_JNZ and a
-// carrier PROB_JMP, arranged so each observer hook changes the PBS
+// Control flow the generator never emits: JMP, CALL/RET, CFD_JNZ (also
+// to its own fallthrough) and a carrier PROB_JMP, arranged so each observer hook changes the PBS
 // outcome when it is dropped. The prob group sits in a function called
 // from two sites (CALL sets the context's function PC, so the sites
 // keep separate PBS entries; RET unwinds the call depth, past 1 of
@@ -235,6 +276,11 @@ controlFlowZoo()
     a.cfdJnz(7, "skip");
     a.addi(11, 11, 5);
     a.label("skip");
+    a.andi(7, 10, 4);                    // branches to their own
+    a.cfdJnz(7, "fall1");                // fallthrough: taken or not,
+    a.label("fall1");                    // the successor is the same,
+    a.jnz(7, "fall2");                   // only the fetch group differs
+    a.label("fall2");
     a.addi(9, 9, -1);
     a.jnz(9, "nloop");
     a.addi(3, 3, -1);
@@ -266,23 +312,27 @@ controlFlowZoo()
 TEST(MpkiEquivEdges, ControlFlowHooksMatchLegacy)
 {
     const isa::Program prog = controlFlowZoo();
-    for (bool pbs : {false, true}) {
-        for (const char *predictor : {"tage-sc-l", "tournament"}) {
-            const std::string what = std::string(predictor) +
-                                     (pbs ? " pbs" : " no-pbs");
-            CoreSet cores = makeCores(prog, mpkiConfig(predictor, pbs));
-            cores.legacy->run();
-            ASSERT_TRUE(cores.legacy->halted()) << what;
-            if (pbs) {
-                EXPECT_GT(cores.legacy->stats().steeredBranches, 0u)
-                    << what;
-                EXPECT_GT(cores.legacy->pbs().stats().contextClears, 0u)
-                    << what;
-            }
-            for (size_t d = 0; d < cores.decoded.size(); d++) {
-                cores.decoded[d]->run();
-                expectSameCore(*cores.legacy, *cores.decoded[d],
-                               what + " [" + kDispatches[d] + "]");
+    for (cpu::SimMode mode : kModes) {
+        for (bool pbs : {false, true}) {
+            for (const char *predictor : {"tage-sc-l", "tournament"}) {
+                const std::string what = std::string(modeName(mode)) +
+                                         " " + predictor +
+                                         (pbs ? " pbs" : " no-pbs");
+                CoreSet cores =
+                    makeCores(prog, coreConfig(mode, predictor, pbs));
+                cores.legacy->run();
+                ASSERT_TRUE(cores.legacy->halted()) << what;
+                if (pbs) {
+                    EXPECT_GT(cores.legacy->stats().steeredBranches, 0u)
+                        << what;
+                    EXPECT_GT(cores.legacy->pbs().stats().contextClears,
+                              0u) << what;
+                }
+                for (size_t d = 0; d < cores.decoded.size(); d++) {
+                    cores.decoded[d]->run();
+                    expectSameCore(*cores.legacy, *cores.decoded[d],
+                                   what + " [" + kDispatches[d] + "]");
+                }
             }
         }
     }
@@ -312,30 +362,37 @@ TEST(MpkiEquivEdges, OutOfRangePcThrowMatches)
     offEnd.jnz(3, "loop");
     offEnd.addi(4, 4, 1);
 
-    for (const isa::Program &prog : {wild.finish(), offEnd.finish()}) {
-        for (bool viaStep : {false, true}) {
-            CoreSet cores = makeCores(prog, mpkiConfig("tage-sc-l", true));
-            auto runToThrow = [&](cpu::Core &core) -> std::string {
-                try {
-                    if (viaStep) {
-                        while (!core.halted())
-                            core.step(7);
-                    } else {
-                        core.run();
+    const isa::Program progs[] = {wild.finish(), offEnd.finish()};
+    for (const isa::Program &prog : progs) {
+        for (cpu::SimMode mode : kModes) {
+            for (bool viaStep : {false, true}) {
+                CoreSet cores =
+                    makeCores(prog, coreConfig(mode, "tage-sc-l", true));
+                auto runToThrow = [&](cpu::Core &core) -> std::string {
+                    try {
+                        if (viaStep) {
+                            while (!core.halted())
+                                core.step(7);
+                        } else {
+                            core.run();
+                        }
+                    } catch (const std::out_of_range &e) {
+                        return e.what();
                     }
-                } catch (const std::out_of_range &e) {
-                    return e.what();
+                    return "no throw";
+                };
+                const std::string expect = runToThrow(*cores.legacy);
+                EXPECT_EQ(expect.rfind("PC out of range", 0), 0u)
+                    << expect;
+                for (size_t d = 0; d < cores.decoded.size(); d++) {
+                    const std::string what =
+                        std::string(modeName(mode)) +
+                        (viaStep ? " step [" : " run [") +
+                        kDispatches[d] + "]";
+                    EXPECT_EQ(runToThrow(*cores.decoded[d]), expect)
+                        << what;
+                    expectSameCore(*cores.legacy, *cores.decoded[d], what);
                 }
-                return "no throw";
-            };
-            const std::string expect = runToThrow(*cores.legacy);
-            EXPECT_EQ(expect.rfind("PC out of range", 0), 0u) << expect;
-            for (size_t d = 0; d < cores.decoded.size(); d++) {
-                const std::string what =
-                    std::string(viaStep ? "step" : "run") + " [" +
-                    kDispatches[d] + "]";
-                EXPECT_EQ(runToThrow(*cores.decoded[d]), expect) << what;
-                expectSameCore(*cores.legacy, *cores.decoded[d], what);
             }
         }
     }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "randtest/battery.hh"
 #include "randtest/pvalue.hh"
@@ -103,6 +105,17 @@ TEST(BatteryTest, BiasedStreamDetected)
     }
     auto tally = tallyResults(runBattery(stream));
     EXPECT_GE(tally.fail, 20u);
+}
+
+TEST(BatteryTest, PermutationRejectsTupleSizesOutside2To8)
+{
+    std::vector<double> v(4096, 0.5);
+    for (unsigned t : {0u, 1u, 9u, 100u}) {
+        EXPECT_THROW(testPermutation(v.data(), v.size(), t),
+                     std::invalid_argument) << "t = " << t;
+    }
+    for (unsigned t = 2; t <= 8; t++)
+        EXPECT_NO_THROW(testPermutation(v.data(), v.size(), t)) << t;
 }
 
 TEST(BatteryTest, IndividualTestsDetectTargetedDefects)

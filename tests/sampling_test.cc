@@ -9,6 +9,7 @@
  * measurement for cross-process sharding).
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -456,6 +457,15 @@ class CheckpointStoreTest : public ::testing::Test
 
     fs::path dir_;
 };
+
+TEST(CheckpointStoreNames, FileNamesFitEveryIndex)
+{
+    EXPECT_EQ(sampling::checkpointFileName(0), "ckpt-000000.pbsckpt");
+    EXPECT_EQ(sampling::checkpointFileName(1234567),
+              "ckpt-1234567.pbsckpt");
+    EXPECT_EQ(sampling::checkpointFileName(SIZE_MAX),
+              "ckpt-" + std::to_string(SIZE_MAX) + ".pbsckpt");
+}
 
 TEST_F(CheckpointStoreTest, SaveLoadRoundTripsBitExactly)
 {
